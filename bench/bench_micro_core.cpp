@@ -3,11 +3,7 @@
 //
 // For each config the bench builds a Simulator, commits a warm-up window,
 // then times the wall clock of a fixed committed-instruction measurement
-// window and reports committed Minsts/sec. Every config runs twice: once
-// through the devirtualized per-policy tick loop (the default) and once
-// through the virtual-dispatch fallback (SMT_DEVIRT=0). Both passes must
-// stop at the same cycle with identical counter snapshots — the bench
-// doubles as a differential check of the policy-dispatch seam.
+// window and reports committed Minsts/sec (best of SMT_MICRO_REPS).
 //
 // The aggregate Minsts/sec is the tracked trajectory metric: CI uploads
 // BENCH_micro_core.json and ctest gates the value against the committed
@@ -27,7 +23,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -57,17 +52,11 @@ constexpr CoreBenchConfig kConfigs[] = {
 struct Pass {
   double secs = 0.0;
   std::uint64_t committed = 0;
-  std::uint64_t cycles = 0;
-  std::map<std::string, std::uint64_t> counters;
 };
 
 /// Build a fresh Simulator for `cfg` and commit warmup + measure insts,
-/// timing the measurement window only. The stop condition is a committed-
-/// instruction threshold checked every cycle, so two bit-exact simulation
-/// paths stop at the identical cycle.
-Pass run_pass(const CoreBenchConfig& cfg, std::uint64_t warmup, std::uint64_t measure,
-              bool devirt) {
-  setenv("SMT_DEVIRT", devirt ? "1" : "0", 1);
+/// timing the measurement window only.
+Pass run_pass(const CoreBenchConfig& cfg, std::uint64_t warmup, std::uint64_t measure) {
   const WorkloadSpec& w = workload_by_name(cfg.workload);
   Simulator sim(baseline_machine(w.num_threads()), w, cfg.policy);
   SmtCore& core = sim.core();
@@ -82,8 +71,6 @@ Pass run_pass(const CoreBenchConfig& cfg, std::uint64_t warmup, std::uint64_t me
   Pass p;
   p.secs = std::chrono::duration<double>(t1 - t0).count();
   p.committed = core.total_committed() - start_committed;
-  p.counters = sim.stats().snapshot();
-  p.cycles = sim.stats().value("core.cycles");
   return p;
 }
 
@@ -144,49 +131,31 @@ int main() {
   std::cout << warmup << " warm-up + " << measure << " measured insts per config, best of "
             << reps << "\n\n";
 
-  ReportTable table({"workload", "policy", "virtual", "devirt", "speedup"});
+  ReportTable table({"workload", "policy", "Minsts/sec"});
   double total_insts = 0.0;
   double total_secs = 0.0;
-  double total_virtual_secs = 0.0;
   std::vector<std::string> config_rows;
   for (const CoreBenchConfig& cfg : kConfigs) {
-    Pass devirt = run_pass(cfg, warmup, measure, /*devirt=*/true);
-    Pass virt = run_pass(cfg, warmup, measure, /*devirt=*/false);
+    Pass best = run_pass(cfg, warmup, measure);
     for (std::uint64_t r = 1; r < reps; ++r) {
-      const Pass d = run_pass(cfg, warmup, measure, /*devirt=*/true);
-      if (d.secs < devirt.secs) devirt = d;
-      const Pass v = run_pass(cfg, warmup, measure, /*devirt=*/false);
-      if (v.secs < virt.secs) virt = v;
+      const Pass p = run_pass(cfg, warmup, measure);
+      if (p.secs < best.secs) best = p;
     }
-    // Differential check: both dispatch paths must simulate the identical
-    // machine — same stop cycle, same counter values, bit for bit.
-    if (devirt.cycles != virt.cycles || devirt.counters != virt.counters) {
-      std::cerr << "[dwarn] error: devirtualized and virtual tick paths diverged on "
-                << cfg.workload << "/" << policy_name(cfg.policy) << " (cycles "
-                << devirt.cycles << " vs " << virt.cycles << ")\n";
-      return 1;
-    }
-    const double dv = minsts(devirt);
-    const double vv = minsts(virt);
-    table.add_row({cfg.workload, std::string(policy_name(cfg.policy)), fmt(vv, 2),
-                   fmt(dv, 2), fmt(vv > 0.0 ? dv / vv : 0.0, 2) + "x"});
-    total_insts += static_cast<double>(devirt.committed);
-    total_secs += devirt.secs;
-    total_virtual_secs += virt.secs;
+    const double mv = minsts(best);
+    table.add_row({cfg.workload, std::string(policy_name(cfg.policy)), fmt(mv, 2)});
+    total_insts += static_cast<double>(best.committed);
+    total_secs += best.secs;
     std::ostringstream row;
     row << "    {\"workload\": \"" << json_escape(cfg.workload) << "\", \"policy\": \""
-        << json_escape(policy_name(cfg.policy)) << "\", \"minsts_per_sec\": " << fmt(dv, 4)
-        << ", \"virtual_minsts_per_sec\": " << fmt(vv, 4) << "}";
+        << json_escape(policy_name(cfg.policy)) << "\", \"minsts_per_sec\": " << fmt(mv, 4)
+        << "}";
     config_rows.push_back(row.str());
   }
   table.print(std::cout);
 
   const double aggregate = total_secs > 0.0 ? total_insts / total_secs / 1e6 : 0.0;
-  const double virtual_aggregate =
-      total_virtual_secs > 0.0 ? total_insts / total_virtual_secs / 1e6 : 0.0;
   std::cout << "\naggregate simulated throughput: " << fmt(aggregate, 2)
-            << " Minsts/sec (virtual fallback: " << fmt(virtual_aggregate, 2)
-            << " Minsts/sec)\n";
+            << " Minsts/sec\n";
 
   // Trajectory snapshot for artifact upload / the committed baseline.
   const std::string path = bench_output_path("micro_core");
@@ -196,7 +165,6 @@ int main() {
         << "  \"measure_insts\": " << measure << ",\n  \"warmup_insts\": " << warmup
         << ",\n  \"reps\": " << reps << ",\n"
         << "  \"aggregate_minsts_per_sec\": " << fmt(aggregate, 4) << ",\n"
-        << "  \"virtual_aggregate_minsts_per_sec\": " << fmt(virtual_aggregate, 4) << ",\n"
         << "  \"configs\": [\n";
     for (std::size_t i = 0; i < config_rows.size(); ++i) {
       out << config_rows[i] << (i + 1 < config_rows.size() ? ",\n" : "\n");

@@ -1,6 +1,6 @@
 #include "core/smt_core.hpp"
 
-#include "core/smt_core_tick.ipp"
+#include "telemetry/counter_sampler.hpp"
 
 namespace dwarn {
 
@@ -70,12 +70,13 @@ SmtCore::SmtCore(const CoreConfig& cfg, MemoryHierarchy& mem, FrontEndPredictor&
   }
 }
 
-void SmtCore::set_policy(FetchPolicy* policy) { set_policy_typed<FetchPolicy>(policy); }
+void SmtCore::set_policy(FetchPolicy* policy) {
+  DWARN_CHECK(policy != nullptr);
+  policy_ = policy;
+}
 
 void SmtCore::attach_sampler(telem::CounterSampler* sampler) {
-  // Must precede policy binding: set_policy_typed bakes the presence of a
-  // sampler into the selected tick-loop instantiation.
-  DWARN_CHECK(tick_fn_ == nullptr);
+  DWARN_CHECK(now_ == 0);  // before the first tick
   sampler_ = sampler;
 }
 
@@ -99,6 +100,68 @@ void SmtCore::telem_sample() {
   for (std::size_t c = 0; c < kNumIssueClasses; ++c) {
     s.iq[c] = static_cast<std::uint32_t>(iqs_[c].size());
   }
+}
+
+void SmtCore::tick() {
+  DWARN_CHECK(policy_ != nullptr);
+  ++now_;
+  cycles_.add();
+  mem_.tick(now_);
+  process_events();
+  do_commit();
+  do_issue();
+  do_rename();
+  do_fetch();
+  sample_occupancy();
+  // Keyed to the simulated cycle, so the sample series is a pure
+  // function of the simulation — deterministic across hosts and runs.
+  if (sampler_ != nullptr && now_ >= sampler_->next_at()) telem_sample();
+#if DWARN_EXPENSIVE_CHECKS
+  if ((now_ & 0xFF) == 0) check_invariants();
+#endif
+}
+
+void SmtCore::process_events() {
+  events_.drain(now_, [&](const EventRec& ev) {
+    switch (ev.kind) {
+      case EventRec::Kind::L1MissDetect:
+        policy_->on_l1_miss_detected(ev.tid, ev.dyn_id, ev.pc);
+        break;
+      case EventRec::Kind::Fill:
+        policy_->on_fill(ev.tid);
+        break;
+      case EventRec::Kind::LoadComplete:
+        policy_->on_load_complete(ev.tid, ev.dyn_id, ev.pc, ev.l1_missed, ev.l2_missed);
+        break;
+      case EventRec::Kind::LongLatency: {
+        // Only act for loads still live on the correct path; a load
+        // squashed inside the declaration window must not gate or flush
+        // its thread.
+        DynInst* d = find_at(ev.tid, ev.dyn_id, ev.wpos);
+        if (d != nullptr && !d->wrong_path) {
+          policy_->on_long_latency(ev.tid, ev.dyn_id, ev.fill_at);
+        }
+        break;
+      }
+      case EventRec::Kind::BranchResolve: {
+        DynInst* d = find_at(ev.tid, ev.dyn_id, ev.wpos);
+        if (d == nullptr || d->wrong_path) break;  // squashed meanwhile
+        bpred_.note_resolved(d->mispredicted);
+        if (d->mispredicted) {
+          const Addr resume_pc = d->ti.next_pc;
+          const InstSeq resume_seq = d->trace_seq + 1;
+          squash_younger_than(ev.tid, ev.dyn_id, /*flush=*/false);
+          ThreadCtx& ctx = threads_[ev.tid];
+          ctx.in_wrong_path = false;
+          ctx.fetch_pc = resume_pc;
+          ctx.fetch_seq = resume_seq;
+          ctx.fetch_stall_until = now_ + cfg_.redirect_penalty;
+          ctx.cur_fetch_line = ~Addr{0};
+        }
+        break;
+      }
+    }
+  });
 }
 
 unsigned SmtCore::icount(ThreadId tid) const {
@@ -294,9 +357,189 @@ void SmtCore::do_issue() {
   }
 }
 
+void SmtCore::do_rename() {
+  // Rename consumes the shared front-end queue strictly in fetch order.
+  // A head instruction that cannot rename (no register, full queue,
+  // policy resource cap) blocks every thread behind it: allocating shared
+  // resources in fetch order is what gives the fetch policy its power —
+  // and what lets one delinquent thread hurt all the others when the
+  // policy lets it through (the paper's motivating pathology).
+  unsigned budget = cfg_.rename_width;
+  while (budget > 0 && !frontend_q_.empty()) {
+    const QEntry e = frontend_q_.front();
+    DynInst* d = find_at(e.tid, e.dyn_id, e.wpos);
+    if (d == nullptr || d->state != InstState::FrontEnd) {
+      frontend_q_.pop_front();  // squashed meanwhile: stale entry, free skip
+      continue;
+    }
+    if (d->fetch_cycle + cfg_.frontend_depth > now_) break;  // still decoding
+    ThreadCtx& ctx = threads_[e.tid];
+    DWARN_CHECK(ctx.rename_idx < ctx.window.size() &&
+                &ctx.window[ctx.rename_idx] == d);
+    if (ctx.renamed_in_flight >= policy_->max_in_flight(e.tid)) break;
+    const auto qc = static_cast<std::size_t>(issue_class_of(d->ti.cls));
+    if (iqs_[qc].size() >= cfg_.iq_capacity[qc]) {
+      rename_stall_iq_.add();
+      break;
+    }
+    std::uint16_t dest = kNoReg;
+    if (d->ti.dest_class != RegClass::None) {
+      dest = regfile(d->ti.dest_class).alloc();
+      if (dest == kNoReg) {
+        rename_stall_regs_.add();
+        break;
+      }
+    }
+    if (d->ti.src_regs[0] != kNoArchReg) {
+      d->src_phys0 = ctx.rmap.get(d->ti.src_class[0], d->ti.src_regs[0]);
+    }
+    if (d->ti.src_regs[1] != kNoArchReg) {
+      d->src_phys1 = ctx.rmap.get(d->ti.src_class[1], d->ti.src_regs[1]);
+    }
+    if (dest != kNoReg) {
+      d->dest_phys = dest;
+      d->old_phys = ctx.rmap.set(d->ti.dest_class, d->ti.dest_reg, dest);
+    }
+    d->state = InstState::InQueue;
+    iqs_[qc].push_back(QEntry{e.tid, d->dyn_id, d->wpos});
+    ++ctx.rename_idx;
+    ++ctx.renamed_in_flight;
+    DWARN_CHECK(frontend_live_ > 0);
+    --frontend_live_;
+    frontend_q_.pop_front();
+    --budget;
+  }
+}
+
+void SmtCore::do_fetch() {
+  if (frontend_live_ >= cfg_.frontend_buffer) return;  // shared front end full
+  cands_.clear();
+  for (std::size_t t = 0; t < threads_.size(); ++t) {
+    const ThreadCtx& ctx = threads_[t];
+    if (ctx.fetch_stall_until > now_) continue;
+    if (ctx.window.size() >= cfg_.rob_entries) continue;
+    cands_.push_back(static_cast<ThreadId>(t));
+  }
+  if (cands_.empty()) return;
+
+  fetch_order_.clear();
+  policy_->order(cands_, fetch_order_);
+
+  unsigned budget = cfg_.fetch_width;
+  unsigned threads_used = 0;
+  for (const ThreadId tid : fetch_order_) {
+    if (budget == 0 || threads_used >= cfg_.fetch_threads) break;
+    ++threads_used;
+    fetch_from_thread(tid, budget);
+  }
+}
+
+void SmtCore::fetch_from_thread(ThreadId tid, unsigned& budget) {
+  ThreadCtx& ctx = threads_[tid];
+  const Addr first_line = iline_of(ctx.fetch_pc);
+  unsigned taken_this_thread = 0;
+
+  while (budget > 0 && taken_this_thread < cfg_.fetch_width) {
+    if (ctx.window.size() >= cfg_.rob_entries) break;
+    if (frontend_live_ >= cfg_.frontend_buffer) break;
+    const Addr pc = ctx.fetch_pc;
+    if (iline_of(pc) != first_line) break;  // line-boundary fragmentation
+
+    if (iline_of(pc) != ctx.cur_fetch_line) {
+      const IFetchOutcome out = mem_.ifetch(tid, pc, now_);
+      ctx.cur_fetch_line = iline_of(pc);
+      if (out.ready_at > now_) {
+        ctx.fetch_stall_until = out.ready_at;
+        icache_stall_cycles_.add(out.ready_at - now_);
+        // Instruction-delivery stalls are policy-visible the same way
+        // data misses are (default-empty hook).
+        policy_->on_ifetch_stall(tid, out.ready_at);
+        break;
+      }
+    }
+
+    DynInst d;
+    d.tid = tid;
+    d.dyn_id = ctx.next_dyn_id++;
+    d.fetch_cycle = now_;
+    d.state = InstState::FrontEnd;
+    bool stop_after = false;
+
+    if (ctx.in_wrong_path) {
+      d.ti = ctx.wrongpath->next(pc, ctx.stream->layout());
+      d.wrong_path = true;
+      ctx.fetch_pc = d.ti.next_pc;
+    } else {
+      d.ti = ctx.stream->at(ctx.fetch_seq);
+      d.trace_seq = ctx.fetch_seq++;
+      if (d.ti.is_branch()) {
+        const Addr fall_through = ctx.stream->layout().wrap(pc + CodeLayout::kInstBytes);
+        const BranchPrediction pred =
+            bpred_.predict(tid, pc, d.ti.branch, fall_through);
+        bpred_.train(tid, pc, d.ti.branch, d.ti.taken, d.ti.next_pc);
+        d.pred_next_pc = pred.next_pc;
+        d.ras_cp = pred.ras_cp;
+        d.mispredicted = pred.next_pc != d.ti.next_pc;
+        ctx.fetch_pc = pred.next_pc;
+        if (d.mispredicted) ctx.in_wrong_path = true;
+        if (pred.taken) stop_after = true;  // fragmentation at taken branch
+      } else {
+        ctx.fetch_pc = d.ti.next_pc;
+      }
+    }
+
+    DynInst& nd = ctx.window.push_back(std::move(d));
+    nd.wpos = ctx.window.pos_of_back();
+    frontend_q_.push_back(QEntry{tid, nd.dyn_id, nd.wpos});
+    ++frontend_live_;
+    ++ctx.icount;
+    fetched_.add();
+    if (nd.wrong_path) fetched_wrongpath_.add();
+    policy_->on_fetch(tid, nd.dyn_id, nd.ti);
+    --budget;
+    ++taken_this_thread;
+    if (stop_after) break;
+  }
+}
+
 std::size_t SmtCore::squash_younger_than(ThreadId tid, std::uint64_t dyn_id,
                                          bool flush) {
-  return squash_younger_than_t<FetchPolicy>(*policy_, tid, dyn_id, flush);
+  ThreadCtx& ctx = threads_[tid];
+  std::size_t count = 0;
+  while (!ctx.window.empty() && ctx.window.back().dyn_id > dyn_id) {
+    DynInst& d = ctx.window.back();
+    policy_->on_inst_squashed(tid, d.dyn_id, d.ti);
+    if (d.state == InstState::FrontEnd || d.state == InstState::InQueue) {
+      DWARN_CHECK(ctx.icount > 0);
+      --ctx.icount;
+    }
+    if (d.state == InstState::FrontEnd) {
+      // Its shared-front-end entry goes stale; rename skips it for free.
+      DWARN_CHECK(frontend_live_ > 0);
+      --frontend_live_;
+    }
+    if (d.state == InstState::InQueue) {
+      remove_from_iq(tid, d.dyn_id, issue_class_of(d.ti.cls));
+    }
+    if (d.renamed()) {
+      DWARN_CHECK(ctx.renamed_in_flight > 0);
+      --ctx.renamed_in_flight;
+      if (d.ti.dest_class != RegClass::None) {
+        ctx.rmap.set(d.ti.dest_class, d.ti.dest_reg, d.old_phys);
+        regfile(d.ti.dest_class).release(d.dest_phys);
+      }
+    }
+    if (!d.wrong_path && d.ti.is_branch()) {
+      // Walking youngest-to-oldest restores the RAS to the state just
+      // before the oldest squashed branch's speculative push/pop.
+      bpred_.restore_ras(tid, d.ras_cp);
+    }
+    (flush ? squashed_flush_ : squashed_branch_).add();
+    ctx.window.pop_back();
+    ++count;
+  }
+  if (ctx.rename_idx > ctx.window.size()) ctx.rename_idx = ctx.window.size();
+  return count;
 }
 
 std::size_t SmtCore::flush_after(ThreadId tid, std::uint64_t dyn_id) {

@@ -81,7 +81,7 @@ SubprocessLauncher::~SubprocessLauncher() {
   // recently was) a live worker.
   for (auto& [id, job] : jobs_) {
     if (job.pid <= 0) continue;
-    ::kill(static_cast<pid_t>(job.pid), SIGKILL);
+    ::kill(-static_cast<pid_t>(job.pid), SIGKILL);
     int status = 0;
     (void)waitpid(static_cast<pid_t>(job.pid), &status, 0);
   }
@@ -99,11 +99,18 @@ std::optional<JobId> SubprocessLauncher::start(const WorkUnit& unit) {
     return std::nullopt;
   }
   if (pid == 0) {
+    // Own process group, so a kill reaches everything the worker spawned.
+    setpgid(0, 0);
     execve(binary_.c_str(), argv.data(), envp.data());
     // Only reached when the exec itself failed; 127 mirrors the shell.
     std::perror("[orch] execve");
     _exit(127);
   }
+
+  // Set from this side too, so the group exists before any kill below
+  // whichever process runs first (EACCES after the child's exec is
+  // harmless: the child has already done it).
+  setpgid(pid, pid);
 
   const JobId id = next_id_++;
   Job& job = jobs_[id];
@@ -116,7 +123,7 @@ std::optional<JobId> SubprocessLauncher::start(const WorkUnit& unit) {
     // would stall dispatch and polling of every other worker for as long
     // as the faulted one is allowed to run.
     if (fault_delay_ms_ == 0) {
-      ::kill(pid, SIGKILL);
+      ::kill(-pid, SIGKILL);
     } else {
       job.kill_at = std::chrono::steady_clock::now() +
                     std::chrono::milliseconds(fault_delay_ms_);
@@ -134,7 +141,7 @@ JobStatus SubprocessLauncher::poll(JobId id) {
   if (job.kill_at && std::chrono::steady_clock::now() >= *job.kill_at) {
     // The armed fault's deadline passed: fire the SIGKILL now. The death
     // surfaces at this or a later poll's waitpid like any worker crash.
-    ::kill(static_cast<pid_t>(job.pid), SIGKILL);
+    ::kill(-static_cast<pid_t>(job.pid), SIGKILL);
     job.kill_at.reset();
   }
   int status = 0;
@@ -149,7 +156,7 @@ JobStatus SubprocessLauncher::poll(JobId id) {
 void SubprocessLauncher::kill(JobId id) {
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) return;
-  ::kill(static_cast<pid_t>(it->second.pid), SIGKILL);
+  ::kill(-static_cast<pid_t>(it->second.pid), SIGKILL);
   int status = 0;
   // SIGKILL is not maskable, so this reap cannot hang.
   (void)waitpid(static_cast<pid_t>(it->second.pid), &status, 0);

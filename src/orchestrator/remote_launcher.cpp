@@ -242,7 +242,7 @@ std::string RemoteLauncher::job_host(JobId id) const {
 RemoteLauncher::~RemoteLauncher() {
   for (auto& [id, job] : jobs_) {
     if (job.pid <= 0) continue;
-    ::kill(static_cast<pid_t>(job.pid), SIGKILL);
+    ::kill(-static_cast<pid_t>(job.pid), SIGKILL);
     int status = 0;
     (void)waitpid(static_cast<pid_t>(job.pid), &status, 0);
     std::error_code ec;
@@ -278,6 +278,8 @@ std::optional<JobId> RemoteLauncher::start(const WorkUnit& unit) {
     return std::nullopt;
   }
   if (pid == 0) {
+    // Own process group, so a kill reaches everything the transport spawned.
+    setpgid(0, 0);
     const int fd = ::open(fetch.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0 || ::dup2(fd, STDOUT_FILENO) < 0) {
       std::perror("[orch] remote fetch file");
@@ -291,6 +293,10 @@ std::optional<JobId> RemoteLauncher::start(const WorkUnit& unit) {
     _exit(127);
   }
 
+  // Set from this side too, so the group exists before any kill below
+  // whichever process runs first.
+  setpgid(pid, pid);
+
   ++next_id_;
   Job& job = jobs_[id];
   job.pid = pid;
@@ -302,7 +308,7 @@ std::optional<JobId> RemoteLauncher::start(const WorkUnit& unit) {
   if (unit.inject_fault) {
     // The worker-kill fault hook, remote flavor: the local transport
     // process dies, which is exactly what a severed connection looks like.
-    ::kill(pid, SIGKILL);
+    ::kill(-pid, SIGKILL);
   }
   return id;
 }
@@ -373,7 +379,7 @@ void RemoteLauncher::kill(JobId id) {
   // remote side with it (a shim or docker exec may leave the remote
   // process to finish into its private temp dir — harmless, the bytes
   // are discarded). The timeout contract only needs the *attempt* dead.
-  ::kill(static_cast<pid_t>(it->second.pid), SIGKILL);
+  ::kill(-static_cast<pid_t>(it->second.pid), SIGKILL);
   int status = 0;
   (void)waitpid(static_cast<pid_t>(it->second.pid), &status, 0);
   release_slot(it->second.host);

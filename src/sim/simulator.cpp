@@ -6,7 +6,6 @@
 
 #include "common/env.hpp"
 #include "common/rng.hpp"
-#include "core/policy_dispatch.hpp"
 #include "telemetry/counter_sampler.hpp"
 #include "telemetry/telemetry.hpp"
 #include "trace/trace_cache.hpp"
@@ -132,8 +131,7 @@ Simulator::Simulator(const MachineConfig& machine, const WorkloadSpec& workload,
 
   core_ = std::make_unique<SmtCore>(machine_.core, *mem_, *bpred_, std::move(programs),
                                     stats_);
-  // Telemetry: attach before policy binding so set_policy_typed selects
-  // the tick-loop variant with the sampling hook compiled in.
+  // Telemetry: the sampler must be attached before the first tick.
   if (telem::telemetry_enabled()) {
     sampler_ = std::make_unique<telem::CounterSampler>(telem::telemetry_interval(),
                                                        telem::telemetry_ring_capacity());
@@ -141,14 +139,7 @@ Simulator::Simulator(const MachineConfig& machine, const WorkloadSpec& workload,
   }
   policy_ = make_policy(policy, *core_, params);
   DWARN_CHECK(policy_ != nullptr);
-  // Default: tick loop instantiated for the concrete policy class (no
-  // virtual dispatch per cycle). SMT_DEVIRT=0 forces the virtual fallback
-  // — same machine, same bits, used as the differential reference.
-  if (devirt_enabled()) {
-    bind_policy_devirtualized(*core_, policy, policy_.get());
-  } else {
-    core_->set_policy(policy_.get());
-  }
+  core_->set_policy(policy_.get());
 }
 
 Simulator::~Simulator() = default;

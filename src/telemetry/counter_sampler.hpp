@@ -1,11 +1,10 @@
 // Per-run interval counter sampling for the SmtCore tick loop.
 //
 // A CounterSampler owns a preallocated ring of IntervalSample records;
-// every SMT_TELEM_INTERVAL cycles the core's telemetry tick variant
-// (tick_t<P, true>, selected only when a sampler is attached) copies its
+// every SMT_TELEM_INTERVAL cycles the core's tick loop copies its
 // cumulative counters and instantaneous occupancies into the next slot.
-// The telemetry-off variant (tick_t<P, false>) contains no sampling code
-// at all, so the hot path pays nothing when SMT_TELEM is unset.
+// With SMT_TELEM unset no sampler is attached, and the tick loop pays one
+// null-pointer test per cycle.
 //
 // Samples store *cumulative* counter values (relative to the measurement-
 // window reset), which makes the ring's overflow policy trivial: when the

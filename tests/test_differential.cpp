@@ -1,12 +1,12 @@
-// Differential equivalence tests for the data-oriented core refactor.
+// Differential equivalence tests for the execution layers around the core.
 //
-// The devirtualized tick loop (SMT_DEVIRT=1, the default) and the
-// virtual-dispatch fallback (SMT_DEVIRT=0) must simulate the identical
-// machine: over a mixed fig1/fig3-shaped mini-grid (baseline + deep
-// machines, ILP and MEM workloads, low- and high-squash policies) the
-// serialized ResultStore JSON must be byte-identical across dispatch
-// modes, worker counts {1, 4}, sharded and unsharded execution, and
-// trace-cache on/off.
+// Worker count, sharding and the warm trace cache change how runs are
+// scheduled and where their instructions come from, never what they
+// simulate: over a mixed fig1/fig3-shaped mini-grid (baseline + deep
+// machines, ILP and MEM workloads, low- and high-squash policies) and the
+// fixture_icache grid, the serialized ResultStore JSON must be
+// byte-identical to a 1-worker, trace-cache-off reference across worker
+// counts {1, 4}, strided shards, and trace-cache on/off.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -75,59 +75,68 @@ std::string snapshot_json(const ResultSet& rs) {
   return store.to_json();
 }
 
-std::string run_grid(const std::vector<RunSpec>& specs, const char* devirt,
-                     std::size_t workers) {
-  ScopedEnv mode("SMT_DEVIRT", devirt);
+std::string run_grid(const std::vector<RunSpec>& specs, std::size_t workers) {
   ThreadPool pool(workers);
   return snapshot_json(ExperimentEngine(pool).run(specs));
 }
 
-TEST(DispatchDifferential, DevirtMatchesVirtualAcrossWorkerCounts) {
+/// The reference every case compares against: one worker, cache off.
+std::string reference(const std::vector<RunSpec>& specs) {
   ScopedEnv cache("SMT_TRACE_CACHE", "0");
-  const std::vector<RunSpec> specs = mini_grid();
-  const std::string virtual_ref = run_grid(specs, "0", 1);
-  EXPECT_EQ(run_grid(specs, "1", 1), virtual_ref);
-  EXPECT_EQ(run_grid(specs, "1", 4), virtual_ref);
-  EXPECT_EQ(run_grid(specs, "0", 4), virtual_ref);
+  return run_grid(specs, 1);
 }
 
-TEST(DispatchDifferential, DevirtMatchesVirtualWithWarmTraceCache) {
+TEST(ExecutionDifferential, MatchesReferenceAcrossWorkerCounts) {
+  ScopedEnv cache("SMT_TRACE_CACHE", "0");
   const std::vector<RunSpec> specs = mini_grid();
-  std::string virtual_ref;
+  EXPECT_EQ(run_grid(specs, 4), reference(specs));
+}
+
+TEST(ExecutionDifferential, MatchesReferenceWithWarmTraceCache) {
+  const std::vector<RunSpec> specs = mini_grid();
+  const std::string ref = reference(specs);
+  ScopedEnv cache("SMT_TRACE_CACHE", "1");
+  TraceCache::shared().clear();
+  EXPECT_EQ(run_grid(specs, 1), ref);
+  TraceCache::shared().clear();
+  EXPECT_EQ(run_grid(specs, 4), ref);
+}
+
+TEST(ExecutionDifferential, MatchesReferenceWithIcacheEnabled) {
+  // The modeled instruction side adds a policy-visible event
+  // (on_ifetch_stall) inside the fetch stage; prove scheduling still
+  // cannot change the machine under I-cache pressure. fixture_icache is
+  // the registry's environment-immune icache grid (tiny modeled I-cache +
+  // 2-entry I-TLB, pinned windows).
+  const std::vector<RunSpec> specs = named_grid("fixture_icache").expand();
+  const std::string ref = reference(specs);
   {
     ScopedEnv cache("SMT_TRACE_CACHE", "0");
-    virtual_ref = run_grid(specs, "0", 1);
+    EXPECT_EQ(run_grid(specs, 4), ref);
   }
   ScopedEnv cache("SMT_TRACE_CACHE", "1");
   TraceCache::shared().clear();
-  EXPECT_EQ(run_grid(specs, "1", 4), virtual_ref);
-  TraceCache::shared().clear();
-  EXPECT_EQ(run_grid(specs, "0", 4), virtual_ref);
-}
-
-TEST(DispatchDifferential, DevirtMatchesVirtualWithIcacheEnabled) {
-  // The modeled instruction side adds a new policy-visible event
-  // (on_ifetch_stall) inside the devirtualized fetch stage; prove both
-  // dispatch modes still simulate the identical machine under I-cache
-  // pressure. fixture_icache is the registry's environment-immune
-  // icache grid (tiny modeled I-cache + 2-entry I-TLB, pinned windows).
-  ScopedEnv cache("SMT_TRACE_CACHE", "0");
-  const std::vector<RunSpec> specs = named_grid("fixture_icache").expand();
-  const std::string virtual_ref = run_grid(specs, "0", 1);
-  EXPECT_EQ(run_grid(specs, "1", 1), virtual_ref);
-  EXPECT_EQ(run_grid(specs, "1", 4), virtual_ref);
+  EXPECT_EQ(run_grid(specs, 4), ref);
   // Sanity: the runs actually exercised the subsystem.
-  EXPECT_NE(virtual_ref.find("imem.demand_misses"), std::string::npos);
-  EXPECT_NE(virtual_ref.find("imem.itlb_misses"), std::string::npos);
+  EXPECT_NE(ref.find("imem.demand_misses"), std::string::npos);
+  EXPECT_NE(ref.find("imem.itlb_misses"), std::string::npos);
 }
 
-TEST(DispatchDifferential, DevirtMatchesVirtualPerShard) {
+TEST(ExecutionDifferential, StridedShardsMatchReferenceRecords) {
+  // Each strided shard, run on 4 workers, must reproduce exactly the
+  // reference's records at the shard's grid indices.
   ScopedEnv cache("SMT_TRACE_CACHE", "0");
   const std::vector<RunSpec> specs = mini_grid();
+  ThreadPool one(1);
+  const ResultSet ref = ExperimentEngine(one).run(specs);
   const ShardPlan plan = ShardPlan::make(specs.size(), 2, ShardStrategy::Strided);
   for (std::size_t k = 1; k <= 2; ++k) {
-    const std::vector<RunSpec> slice = slice_specs(specs, plan.indices(k));
-    EXPECT_EQ(run_grid(slice, "1", 4), run_grid(slice, "0", 1)) << "shard " << k << "/2";
+    const std::vector<std::size_t> indices = plan.indices(k);
+    std::vector<RunRecord> picked;
+    for (const std::size_t i : indices) picked.push_back(ref.records()[i]);
+    EXPECT_EQ(run_grid(slice_specs(specs, indices), 4),
+              snapshot_json(ResultSet(std::move(picked))))
+        << "shard " << k << "/2";
   }
 }
 

@@ -9,7 +9,6 @@
 #include "engine/experiment_engine.hpp"
 #include "engine/result_store.hpp"
 #include "engine/run_spec.hpp"
-#include "sim/experiment.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/workload.hpp"
 
@@ -218,25 +217,9 @@ TEST(ExperimentEngine, SoloIpcsComeFromSoloRuns) {
   const ResultSet rs = ExperimentEngine().run(grid);
   const SoloIpcMap solo = rs.solo_ipcs();
   ASSERT_EQ(solo.size(), workload_by_name("2-MIX").benchmarks.size());
-  for (const auto& [b, ipc] : solo) EXPECT_GT(ipc, 0.0);
-}
-
-// ---- legacy wrapper ----------------------------------------------------------
-
-TEST(MatrixResult, GetReportsMissingAndAvailableKeys) {
-  MatrixResult m;
-  SimResult r;
-  r.workload = "2-MIX";
-  r.policy = "ICOUNT";
-  m.add(r);
-  try {
-    (void)m.get("4-MEM", "FLUSH");
-    FAIL() << "expected std::out_of_range";
-  } catch (const std::out_of_range& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("workload=4-MEM"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("policy=FLUSH"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("workload=2-MIX"), std::string::npos) << msg;
+  for (const auto b : workload_by_name("2-MIX").benchmarks) {
+    ASSERT_TRUE(solo.contains(b)) << profile_of(b).name;
+    EXPECT_GT(solo.at(b), 0.0);
   }
 }
 

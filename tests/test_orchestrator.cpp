@@ -9,6 +9,7 @@
 // enforces for manual sharding, here surviving scheduling and retries.
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -28,6 +29,15 @@
 #include "orchestrator/scheduler.hpp"
 #include "orchestrator/sweep_state.hpp"
 #include "orchestrator/work_unit.hpp"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <signal.h>
+#include <sys/wait.h>
+#include <unistd.h>
+#endif
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
 namespace dwarn {
 namespace {
@@ -704,15 +714,54 @@ TEST(SubprocessLauncher, DelayedFaultArmsInsteadOfSleepingInStart) {
   EXPECT_NE(launcher.poll(*id).detail.find("unknown job id"), std::string::npos);
 }
 
-TEST(SubprocessLauncher, ArmedFaultDeadlineFiresAtPollAndKillsTheWorker) {
+#if defined(__unix__) || defined(__APPLE__)
+
+/// Makes this process the reaper of orphaned descendants for its
+/// lifetime (Linux), so a killed grandchild is reaped here instead of
+/// lingering as a zombie under an init that may never wait for it.
+class ScopedSubreaper {
+ public:
+  ScopedSubreaper() {
+#ifdef __linux__
+    prctl(PR_SET_CHILD_SUBREAPER, 1);
+#endif
+  }
+  ~ScopedSubreaper() {
+#ifdef __linux__
+    prctl(PR_SET_CHILD_SUBREAPER, 0);
+#endif
+  }
+  ScopedSubreaper(const ScopedSubreaper&) = delete;
+  ScopedSubreaper& operator=(const ScopedSubreaper&) = delete;
+};
+
+/// True once `pid` no longer exists (reaping it if it became our zombie),
+/// polled for up to `limit`.
+bool gone_within(pid_t pid, std::chrono::milliseconds limit) {
+  const auto deadline = std::chrono::steady_clock::now() + limit;
+  while (true) {
+    int status = 0;
+    (void)waitpid(pid, &status, WNOHANG);
+    if (::kill(pid, 0) != 0 && errno == ESRCH) return true;
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(5ms);
+  }
+}
+
+TEST(SubprocessLauncher, ArmedFaultDeadlineFiresAtPollAndKillsTheWorkerGroup) {
   if (!orch::SubprocessLauncher::supported()) GTEST_SKIP();
+  const ScopedSubreaper subreaper;
   const TempDir dir("dwarn_orch_armfire");
   // A "worker" guaranteed to outlive the deadline, so the kill is what
   // ends it — deterministic, unlike racing a real shard against a delay.
+  // It records its own child's pid: the kill must take that grandchild
+  // down too, or it lives on holding the worker's output pipe.
   const std::string script = dir.path() + "/slow_worker.sh";
+  const std::string pid_file = dir.path() + "/grandchild.pid";
   {
     std::ofstream out(script);
-    out << "#!/bin/sh\nsleep 30\n";
+    out << "#!/bin/sh\nsleep 30 &\necho $! > " << pid_file << ".tmp\nmv " << pid_file
+        << ".tmp " << pid_file << "\nwait\n";
   }
   std::filesystem::permissions(script, std::filesystem::perms::owner_all);
 
@@ -723,8 +772,17 @@ TEST(SubprocessLauncher, ArmedFaultDeadlineFiresAtPollAndKillsTheWorker) {
   orch::SubprocessLauncher launcher(script, /*fault_delay_ms=*/20);
   const auto id = launcher.start(unit);
   ASSERT_TRUE(id.has_value());
-  orch::JobStatus status;
+  // The deadline only fires at poll time, so the worker runs until the
+  // grandchild's pid is on disk.
   const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (!std::filesystem::exists(pid_file)) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "worker never started";
+    std::this_thread::sleep_for(5ms);
+  }
+  const pid_t grandchild = static_cast<pid_t>(std::stol(read_file(pid_file)));
+  ASSERT_GT(grandchild, 0);
+
+  orch::JobStatus status;
   do {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "armed kill never fired";
     std::this_thread::sleep_for(5ms);
@@ -732,7 +790,12 @@ TEST(SubprocessLauncher, ArmedFaultDeadlineFiresAtPollAndKillsTheWorker) {
   } while (status.state == orch::JobStatus::State::Running);
   EXPECT_EQ(status.state, orch::JobStatus::State::Failed);
   EXPECT_NE(status.detail.find("killed by signal"), std::string::npos) << status.detail;
+  const bool reaped = gone_within(grandchild, 2s);
+  if (!reaped) ::kill(grandchild, SIGKILL);  // don't leak it past a failure
+  EXPECT_TRUE(reaped) << "the worker's child " << grandchild << " outlived the kill";
 }
+
+#endif  // unix
 
 }  // namespace
 }  // namespace dwarn

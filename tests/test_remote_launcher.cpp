@@ -3,12 +3,20 @@
 // template substitution, the remote command's inline env re-export, and
 // RemoteLauncher's process mechanics against stub transport scripts:
 // fragment retrieval + atomic placement, failure attribution to the host,
-// slot accounting behind can_start(), retry steering away from a shard's
-// last failed host, and quarantine that can never deadlock the fleet.
+// slot accounting behind can_start(), killing the transport's whole
+// process group, retry steering away from a shard's last failed host, and
+// quarantine that can never deadlock the fleet.
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
+#ifdef __linux__
+#include <sys/prctl.h>
+#endif
 
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -281,6 +289,46 @@ TEST(RemoteLauncher, SlotAccountingGatesCanStartAndKillReleasesTheSlot) {
   launcher.kill(*j1);
   EXPECT_TRUE(launcher.can_start(u3));
   launcher.kill(*j2);
+}
+
+TEST(RemoteLauncher, KillTakesTheTransportsChildrenDown) {
+  if (!orch::RemoteLauncher::supported()) GTEST_SKIP() << "no fork/exec";
+#ifdef __linux__
+  // Orphans reparent to this process, so the killed grandchild is reaped
+  // here rather than lingering as a zombie.
+  prctl(PR_SET_CHILD_SUBREAPER, 1);
+#endif
+  TempDir dir("dwarn_remote_group_kill_test");
+  // A transport that forks (no exec) and records its child's pid, like an
+  // ssh client or a shim that runs the remote command as a subprocess.
+  const std::string pid_file = dir.path() + "/grandchild.pid";
+  const std::string stub = write_stub(
+      dir, "transport_forks.sh",
+      "sleep 30 &\necho $! > " + pid_file + ".tmp\nmv " + pid_file + ".tmp " + pid_file +
+          "\nwait");
+  orch::RemoteLauncher launcher(remote_options("alpha", stub));
+  const auto id = launcher.start(test_unit(dir, 1, 1));
+  ASSERT_TRUE(id);
+  for (int i = 0; i < 2000 && !std::filesystem::exists(pid_file); ++i) {
+    std::this_thread::sleep_for(5ms);
+  }
+  ASSERT_TRUE(std::filesystem::exists(pid_file)) << "transport never started";
+  const pid_t grandchild = static_cast<pid_t>(std::stol(read_file(pid_file)));
+  ASSERT_GT(grandchild, 0);
+
+  launcher.kill(*id);
+  bool gone = false;
+  for (int i = 0; i < 400 && !gone; ++i) {
+    int status = 0;
+    (void)waitpid(grandchild, &status, WNOHANG);
+    gone = ::kill(grandchild, 0) != 0 && errno == ESRCH;
+    if (!gone) std::this_thread::sleep_for(5ms);
+  }
+  if (!gone) ::kill(grandchild, SIGKILL);  // don't leak it past a failure
+#ifdef __linux__
+  prctl(PR_SET_CHILD_SUBREAPER, 0);
+#endif
+  EXPECT_TRUE(gone) << "the transport's child " << grandchild << " outlived the kill";
 }
 
 TEST(RemoteLauncher, RetryPrefersADifferentHostThanTheLastFailure) {

@@ -4,7 +4,6 @@
 
 #include <sstream>
 
-#include "sim/experiment.hpp"
 #include "sim/machine_config.hpp"
 #include "sim/metrics.hpp"
 #include "sim/report.hpp"
@@ -160,45 +159,6 @@ TEST(SimulatorRun, SoloWorkloadShape) {
   EXPECT_EQ(w.num_threads(), 1u);
   EXPECT_EQ(w.type, WorkloadType::ILP);
   EXPECT_EQ(solo_workload(Benchmark::mcf).type, WorkloadType::MEM);
-}
-
-// ---- experiment runner ---------------------------------------------------------------
-
-TEST(Experiment, MatrixLookupAndParallelDeterminism) {
-  ExperimentConfig cfg;
-  cfg.len = RunLength{2000, 8000, 2'000'000};
-  const std::array<WorkloadSpec, 2> ws{workload_by_name("2-ILP"),
-                                       workload_by_name("2-MEM")};
-  const std::array<PolicyKind, 2> ps{PolicyKind::ICount, PolicyKind::DWarn};
-  const MachineBuilder mb = [](std::size_t n) { return baseline_machine(n); };
-
-  cfg.workers = 1;
-  const auto serial = run_matrix(mb, ws, ps, cfg);
-  cfg.workers = 4;
-  const auto parallel = run_matrix(mb, ws, ps, cfg);
-
-  EXPECT_EQ(serial.all().size(), 4u);
-  for (const auto& w : ws) {
-    for (const auto p : ps) {
-      const auto& a = serial.get(w.name, policy_name(p));
-      const auto& b = parallel.get(w.name, policy_name(p));
-      EXPECT_EQ(a.cycles, b.cycles) << w.name << " " << policy_name(p);
-      EXPECT_DOUBLE_EQ(a.throughput, b.throughput);
-    }
-  }
-}
-
-TEST(Experiment, SoloBaselinesCoverWorkloadBenchmarks) {
-  ExperimentConfig cfg;
-  cfg.len = RunLength{2000, 6000, 2'000'000};
-  const std::array<WorkloadSpec, 1> ws{workload_by_name("4-MIX")};
-  const MachineBuilder mb = [](std::size_t n) { return baseline_machine(n); };
-  const auto solo = solo_baselines(mb, ws, cfg);
-  EXPECT_EQ(solo.size(), 4u);
-  for (const auto b : ws[0].benchmarks) {
-    ASSERT_TRUE(solo.count(b));
-    EXPECT_GT(solo.at(b), 0.0);
-  }
 }
 
 // ---- report tables -----------------------------------------------------------------

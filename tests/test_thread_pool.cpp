@@ -94,6 +94,26 @@ TEST(ThreadPool, HonorsConcurrencyCap) {
   EXPECT_LE(high_water.load(), 2);
 }
 
+TEST(ThreadPool, CapAboveJobCountCoversRangeOnce) {
+  // A cap wider than both the batch and the pool is clamped, never a
+  // reason to run an index twice or to skip one.
+  ThreadPool pool(3);
+  std::atomic<std::uint64_t> sum{0};
+  std::atomic<int> calls{0};
+  pool.for_each(
+      100,
+      [&](std::size_t i) {
+        sum.fetch_add(i);
+        calls.fetch_add(1);
+      },
+      16);
+  EXPECT_EQ(sum.load(), 4950u);
+  EXPECT_EQ(calls.load(), 100);
+  std::atomic<int> n{0};
+  pool.for_each(2, [&n](std::size_t) { n.fetch_add(1); }, 16);
+  EXPECT_EQ(n.load(), 2);
+}
+
 TEST(ThreadPool, UncappedBatchStaysWithinPoolWidth) {
   // An external caller must not add a hidden extra lane of concurrency:
   // SMT_SIM_WORKERS=1 means one simulation at a time.
