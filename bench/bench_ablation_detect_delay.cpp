@@ -9,46 +9,28 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "sim/machine_config.hpp"
 
 int main() {
   using namespace dwarn;
   using namespace dwarn::benchutil;
 
-  // The registry owns the delay list; headers and lookup keys below
-  // iterate the same values the grid's machine variants were built from.
-  const std::vector<Cycle>& delays = detect_delay_variants();
-  const std::array<PolicyKind, 2> policies{PolicyKind::DWarn, PolicyKind::DG};
-  std::vector<WorkloadSpec> workloads{workload_by_name("4-MIX"),
-                                      workload_by_name("4-MEM"),
-                                      workload_by_name("8-MEM")};
-
-  // One grid, defined by the registry (the detection delays are machine
-  // variants there): every (delay, workload, policy) cell runs in a
-  // single engine invocation. Note this bench narrows the registry grid
-  // to the paper's ablation subset — fragments from SMT_BENCH_SHARD runs
-  // of this binary merge with each other, not with fragments of
-  // `smt_shard run --bench ablation_detect_delay` (full workload/policy
-  // defaults); the grid fingerprint enforces the distinction.
-  const RunGrid grid = named_grid(
-      "ablation_detect_delay",
-      GridOptions{.num_seeds = bench_seed_count(),
-                  .workloads = workloads,
-                  .policies = {policies.begin(), policies.end()}});
-  if (const auto rc = maybe_run_sharded("ablation_detect_delay", grid)) return *rc;
-  const ResultSet results = ExperimentEngine().run(grid);
+  // The detection delays are the grid's machine variants
+  // ("baseline+<d>cy"); every (delay, workload, policy) cell runs in a
+  // single engine invocation.
+  const ResultSet results = ExperimentEngine().run(
+      named_grid("ablation_detect_delay", GridOptions{.num_seeds = bench_seed_count()}));
+  const std::vector<std::string> machines = distinct_values(results, &RunRecord::machine);
 
   print_banner(std::cout,
                "Ablation: extra L1-miss detection delay (throughput, mean ± 95% CI)");
-  for (const PolicyKind p : policies) {
+  for (const PolicyKind p : grid_policies(results)) {
     std::vector<std::string> headers{"workload"};
-    for (const Cycle d : delays) headers.push_back("+" + std::to_string(d) + "cy");
+    for (const std::string& m : machines) headers.push_back(m.substr(m.find('+')));
     ReportTable table(std::move(headers));
     std::cout << "\npolicy " << policy_name(p) << ":\n";
-    for (const auto& w : workloads) {
+    for (const auto& w : grid_workloads(results)) {
       std::vector<std::string> row{w.name};
-      for (const Cycle d : delays) {
-        const std::string machine = "baseline+" + std::to_string(d) + "cy";
+      for (const std::string& machine : machines) {
         const analysis::SampleStats s = analysis::summarize(analysis::collect_values(
             results, {.workload = w.name, .policy = policy_name(p), .machine = machine},
             analysis::throughput_metric()));

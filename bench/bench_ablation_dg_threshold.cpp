@@ -7,40 +7,24 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "sim/machine_config.hpp"
 
 int main() {
   using namespace dwarn;
   using namespace dwarn::benchutil;
 
-  const std::array<unsigned, 4> thresholds{0, 1, 2, 4};
-
-  std::vector<WorkloadSpec> workloads;
-  for (const auto& w : paper_workloads()) {
-    if (w.type != WorkloadType::ILP) workloads.push_back(w);
-  }
-
-  // The threshold is a policy parameter: one grid with a tagged variant
-  // per value of n.
-  RunGrid grid;
-  grid.machine(machine_spec("baseline")).workloads(workloads).policy(PolicyKind::DG);
-  for (const unsigned n : thresholds) {
-    PolicyParams params{};
-    params.dg_threshold = n;
-    grid.param_variant("n=" + std::to_string(n), params);
-  }
-  if (const auto rc = maybe_run_sharded("ablation_dg_threshold", grid)) return *rc;
-  const ResultSet results = ExperimentEngine().run(grid);
+  // The threshold is a policy parameter: the grid runs DG with one
+  // tagged variant ("n=<n>") per value.
+  const ResultSet results = ExperimentEngine().run(named_grid("ablation_dg_threshold"));
+  const std::vector<std::string> tags = distinct_values(results, &RunRecord::tag);
 
   print_banner(std::cout, "Ablation: DG gating threshold sweep (throughput)");
   std::vector<std::string> headers{"workload"};
-  for (const unsigned n : thresholds) headers.push_back("DG(n=" + std::to_string(n) + ")");
+  for (const std::string& tag : tags) headers.push_back("DG(" + tag + ")");
   ReportTable table(std::move(headers));
 
-  for (const auto& w : workloads) {
+  for (const auto& w : grid_workloads(results)) {
     std::vector<std::string> row{w.name};
-    for (const unsigned n : thresholds) {
-      const std::string tag = "n=" + std::to_string(n);
+    for (const std::string& tag : tags) {
       row.push_back(
           fmt(results.get({.workload = w.name, .policy = "DG", .tag = tag}).throughput, 2));
     }

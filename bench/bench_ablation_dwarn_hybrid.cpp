@@ -13,23 +13,15 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "sim/machine_config.hpp"
 
 int main() {
   using namespace dwarn;
   using namespace dwarn::benchutil;
 
-  const auto& workloads = paper_workloads();
-  const std::array<PolicyKind, 3> variants{PolicyKind::DWarnBasic, PolicyKind::DWarn,
-                                           PolicyKind::DWarnGateAlways};
-
-  const RunGrid grid =
-      RunGrid().machine(machine_spec("baseline")).workloads(workloads).policies(variants);
-  if (const auto rc = maybe_run_sharded("ablation_dwarn_hybrid", grid)) return *rc;
-  const ResultSet results = ExperimentEngine().run(grid);
+  const ResultSet results = ExperimentEngine().run(named_grid("ablation_dwarn_hybrid"));
 
   print_banner(std::cout, "Ablation: DWarn response-action variants (throughput)");
-  print_metric_table(std::cout, results, workloads, variants, throughput_metric(),
-                     "throughput (IPC)");
+  print_metric_table(std::cout, results, grid_workloads(results), grid_policies(results),
+                     throughput_metric(), "throughput (IPC)");
   return write_bench_json("ablation_dwarn_hybrid", results) ? 0 : 1;
 }

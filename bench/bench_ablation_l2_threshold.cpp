@@ -8,43 +8,25 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "sim/machine_config.hpp"
 
 int main() {
   using namespace dwarn;
   using namespace dwarn::benchutil;
 
-  const std::array<Cycle, 4> thresholds{12, 15, 25, 60};
-  const std::array<PolicyKind, 3> policies{PolicyKind::Stall, PolicyKind::Flush,
-                                           PolicyKind::DWarn};
-  std::vector<WorkloadSpec> workloads{workload_by_name("2-MEM"),
-                                      workload_by_name("4-MIX"),
-                                      workload_by_name("4-MEM"),
-                                      workload_by_name("8-MEM")};
-
-  // One grid: the declaration threshold is a machine variant.
-  RunGrid grid;
-  for (const Cycle t : thresholds) {
-    grid.machine(machine_variant("baseline,T=" + std::to_string(t), [t](std::size_t n) {
-      MachineConfig m = baseline_machine(n);
-      m.mem.l2_declare_threshold = t;
-      return m;
-    }));
-  }
-  grid.workloads(workloads).policies(policies);
-  if (const auto rc = maybe_run_sharded("ablation_l2_threshold", grid)) return *rc;
-  const ResultSet results = ExperimentEngine().run(grid);
+  // One grid: the declaration threshold is a machine variant
+  // ("baseline,T=<t>").
+  const ResultSet results = ExperimentEngine().run(named_grid("ablation_l2_threshold"));
+  const std::vector<std::string> machines = distinct_values(results, &RunRecord::machine);
 
   print_banner(std::cout, "Ablation: L2-miss declaration threshold sweep (throughput)");
-  for (const PolicyKind p : policies) {
+  for (const PolicyKind p : grid_policies(results)) {
     std::vector<std::string> headers{"workload"};
-    for (const Cycle t : thresholds) headers.push_back("T=" + std::to_string(t));
+    for (const std::string& m : machines) headers.push_back(m.substr(m.find(',') + 1));
     ReportTable table(std::move(headers));
     std::cout << "\npolicy " << policy_name(p) << ":\n";
-    for (const auto& w : workloads) {
+    for (const auto& w : grid_workloads(results)) {
       std::vector<std::string> row{w.name};
-      for (const Cycle t : thresholds) {
-        const std::string machine = "baseline,T=" + std::to_string(t);
+      for (const std::string& machine : machines) {
         row.push_back(fmt(
             results.get({.workload = w.name, .policy = policy_name(p), .machine = machine})
                 .throughput,

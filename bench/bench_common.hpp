@@ -1,7 +1,9 @@
 // Shared helpers for the paper-figure bench harnesses.
 //
-// Every bench is a thin driver over the ExperimentEngine: it declares a
-// RunGrid, runs it once on the persistent ThreadPool, prints the paper's
+// Every bench is a renderer over the ExperimentEngine: it expands its grid
+// from the registry (engine/grid_registry.hpp — the one grid definition,
+// shared with smt_shard/smt_orchestrate, which are also the only way to
+// shard it), runs it once on the persistent ThreadPool, prints the paper's
 // table shapes from the ResultSet, and snapshots every run into
 // BENCH_<name>.json via ResultStore so perf trajectories are
 // machine-readable. The two table printers cover the paper's two figure
@@ -15,7 +17,6 @@
 #include <functional>
 #include <iostream>
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -27,6 +28,7 @@
 #include "engine/result_store.hpp"
 #include "engine/run_spec.hpp"
 #include "engine/shard.hpp"
+#include "policy/factory.hpp"
 #include "sim/metrics.hpp"
 #include "sim/report.hpp"
 #include "sim/workload.hpp"
@@ -55,14 +57,9 @@ inline std::size_t bench_seed_count() {
   return env_u64("SMT_BENCH_SEEDS", 1, 64).value_or(1);
 }
 
-/// The canonical seed list for bench_seed_count() replications.
-inline std::vector<std::uint64_t> bench_seed_list() {
-  return seed_list(bench_seed_count());
-}
-
-/// Output directory prefix ("" or "dir/"): SMT_BENCH_OUT_DIR, created on
-/// demand, or the working dir.
-inline std::string bench_output_dir() {
+/// Where BENCH_<name>.json lands: SMT_BENCH_OUT_DIR (created on demand)
+/// or the working dir.
+inline std::string bench_output_path(const std::string& bench_name) {
   std::string dir;
   if (const char* d = std::getenv("SMT_BENCH_OUT_DIR")) dir = d;
   if (!dir.empty()) {
@@ -74,27 +71,13 @@ inline std::string bench_output_dir() {
     }
     if (dir.back() != '/') dir += '/';
   }
-  return dir;
-}
-
-/// Where BENCH_<name>.json lands.
-inline std::string bench_output_path(const std::string& bench_name) {
-  return bench_output_dir() + "BENCH_" + bench_name + ".json";
+  return dir + "BENCH_" + bench_name + ".json";
 }
 
 /// SMT_BENCH_ZERO_WALL=1: serialize wall_seconds as 0 so two executions
 /// of the same grid produce byte-identical snapshots (the sharded-vs-
 /// unsharded bitwise check in CI sets this on both sides).
 inline bool bench_zero_wall() { return env_u64("SMT_BENCH_ZERO_WALL", 0, 1).value_or(0) == 1; }
-
-/// SMT_TRACE_CACHE_STATS=1: attach the shared warm-cache counters as
-/// "trace_cache.*" meta entries. Off by default — the counters depend on
-/// scheduling and on whether the cache is enabled at all, so emitting them
-/// unconditionally would break the byte-identity contract between
-/// SMT_TRACE_CACHE=1 and =0 snapshots of the same grid.
-inline void maybe_attach_trace_cache_stats(ResultStore& store) {
-  for (const auto& [k, v] : trace_cache_stats_meta_if_enabled()) store.set_meta(k, v);
-}
 
 /// Snapshot every run of `rs` (counters included) to BENCH_<name>.json.
 /// Returns false after a loud stderr message when the snapshot cannot be
@@ -105,7 +88,9 @@ inline void maybe_attach_trace_cache_stats(ResultStore& store) {
                                            const RunLength& len = RunLength::from_env()) {
   ResultStore store;
   for (const auto& [k, v] : bench_meta(bench_name, len)) store.set_meta(k, v);
-  maybe_attach_trace_cache_stats(store);
+  // SMT_TRACE_CACHE_STATS=1 only: the counters depend on scheduling, so
+  // they would break the SMT_TRACE_CACHE=1 vs =0 byte-identity contract.
+  for (const auto& [k, v] : trace_cache_stats_meta_if_enabled()) store.set_meta(k, v);
   store.set_zero_wall(bench_zero_wall());
   store.add_all(rs);
   const std::string path = bench_output_path(bench_name);
@@ -118,31 +103,40 @@ inline void maybe_attach_trace_cache_stats(ResultStore& store) {
   return true;
 }
 
-/// SMT_BENCH_SHARD=K/N support: when set, run only shard K of the grid
-/// and write the BENCH_<name>.shard<K>of<N>.json fragment instead of the
-/// full snapshot — no tables, since a shard cannot fill them. Returns the
-/// process exit code in that case; nullopt means "not sharded, run
-/// normally". Usage, first thing after building the grid:
-///
-///   if (const auto rc = maybe_run_sharded("fig1_throughput", grid)) return *rc;
-///
-/// Fragments from all N processes are merged back into the canonical
-/// snapshot by `smt_shard merge` (docs/sharding.md).
-[[nodiscard]] inline std::optional<int> maybe_run_sharded(
-    const std::string& bench_name, const RunGrid& grid,
-    const RunLength& len = RunLength::from_env()) {
-  const std::optional<ShardSpec> shard = shard_from_env();
-  if (!shard) return std::nullopt;
-  const ShardStrategy strategy = shard_strategy_from_env();
-  const std::string path =
-      bench_output_dir() + shard_fragment_filename(bench_name, shard->index, shard->count);
-  if (!run_shard_to_file(grid.expand(), *shard, strategy, bench_meta(bench_name, len),
-                         path, bench_zero_wall())) {
-    std::cerr << "[dwarn] error: shard fragment '" << path
-              << "' could not be written; failing the bench\n";
-    return 1;
+/// The distinct values of `field` over the grid runs of `rs` (solo
+/// baselines excluded), in grid expansion order. Benches take their table
+/// axes — machine variants, parameter tags — from the records, so the
+/// registry stays the only place a grid's values are written down.
+inline std::vector<std::string> distinct_values(const ResultSet& rs,
+                                                std::string RunRecord::*field) {
+  std::vector<std::string> out;
+  for (const RunRecord& r : rs.records()) {
+    if (r.role != RunRole::Grid) continue;
+    if (std::find(out.begin(), out.end(), r.*field) == out.end()) out.push_back(r.*field);
   }
-  return 0;
+  return out;
+}
+
+/// The workloads of the grid runs of `rs`, in grid order.
+inline std::vector<WorkloadSpec> grid_workloads(const ResultSet& rs) {
+  std::vector<WorkloadSpec> out;
+  for (const RunRecord& r : rs.records()) {
+    if (r.role != RunRole::Grid) continue;
+    if (std::none_of(out.begin(), out.end(),
+                     [&](const WorkloadSpec& w) { return w.name == r.workload.name; })) {
+      out.push_back(r.workload);
+    }
+  }
+  return out;
+}
+
+/// The policies of the grid runs of `rs`, in grid order.
+inline std::vector<PolicyKind> grid_policies(const ResultSet& rs) {
+  std::vector<PolicyKind> out;
+  for (const std::string& p : distinct_values(rs, &RunRecord::policy)) {
+    out.push_back(policy_from_name(p).value());
+  }
+  return out;
 }
 
 /// Print a per-(workload, policy) absolute metric table (Figure 1(a) shape).

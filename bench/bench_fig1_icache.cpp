@@ -50,18 +50,17 @@ void print_pressure_table(std::ostream& os, const ResultSet& rs,
 int main() {
   using namespace dwarn::benchutil;
 
-  const auto& workloads = paper_workloads();
-  const RunGrid grid =
-      named_grid("fig1_icache", GridOptions{.num_seeds = bench_seed_count()});
-  if (const auto rc = maybe_run_sharded("fig1_icache", grid)) return *rc;
-  const ResultSet results = ExperimentEngine().run(grid);
+  const ResultSet results = ExperimentEngine().run(
+      named_grid("fig1_icache", GridOptions{.num_seeds = bench_seed_count()}));
+  const std::vector<WorkloadSpec> workloads = grid_workloads(results);
+  const std::vector<PolicyKind> policies = grid_policies(results);
 
   print_banner(std::cout, "Figure 1(a) under I-cache pressure: throughput per policy");
-  print_ci_metric_table(std::cout, results, workloads, kPaperPolicies,
+  print_ci_metric_table(std::cout, results, workloads, policies,
                         analysis::throughput_metric(), "throughput (IPC)");
 
   print_banner(std::cout, "Figure 1(b) under I-cache pressure: DWarn improvement");
-  print_ci_improvement_table(std::cout, results, workloads, kPaperPolicies,
+  print_ci_improvement_table(std::cout, results, workloads, policies,
                              analysis::throughput_metric(), "throughput");
 
   print_banner(std::cout, "instruction-side pressure (DWarn runs)");

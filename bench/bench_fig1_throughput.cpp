@@ -44,20 +44,19 @@ int main() {
 
   print_table3(std::cout);
 
-  const auto& workloads = paper_workloads();
-  // The registry owns the grid definition (shared with smt_shard /
-  // smt_analyze). SMT_BENCH_SEEDS replicates every cell; the tables then
-  // carry bootstrap CIs instead of single-run point estimates.
-  const RunGrid grid = named_grid("fig1", GridOptions{.num_seeds = bench_seed_count()});
-  if (const auto rc = maybe_run_sharded("fig1_throughput", grid)) return *rc;
-  const ResultSet results = ExperimentEngine().run(grid);
+  // SMT_BENCH_SEEDS replicates every cell; the tables then carry
+  // bootstrap CIs instead of single-run point estimates.
+  const ResultSet results =
+      ExperimentEngine().run(named_grid("fig1", GridOptions{.num_seeds = bench_seed_count()}));
+  const std::vector<WorkloadSpec> workloads = grid_workloads(results);
+  const std::vector<PolicyKind> policies = grid_policies(results);
 
   print_banner(std::cout, "Figure 1(a): throughput per policy (baseline machine)");
-  print_ci_metric_table(std::cout, results, workloads, kPaperPolicies,
+  print_ci_metric_table(std::cout, results, workloads, policies,
                         analysis::throughput_metric(), "throughput (IPC)");
 
   print_banner(std::cout, "Figure 1(b): DWarn throughput improvement");
-  print_ci_improvement_table(std::cout, results, workloads, kPaperPolicies,
+  print_ci_improvement_table(std::cout, results, workloads, policies,
                              analysis::throughput_metric(), "throughput");
 
   std::cout << "\npaper reference (avg): +18% over ICOUNT; +2% ILP/+6% MIX/+7% MEM over STALL;\n"

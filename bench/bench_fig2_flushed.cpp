@@ -6,22 +6,17 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "sim/machine_config.hpp"
 
 int main() {
   using namespace dwarn;
   using namespace dwarn::benchutil;
 
-  const auto& workloads = paper_workloads();
-  const RunGrid grid =
-      RunGrid().machine(machine_spec("baseline")).workloads(workloads).policy(PolicyKind::Flush);
-  if (const auto rc = maybe_run_sharded("fig2_flushed", grid)) return *rc;
-  const ResultSet results = ExperimentEngine().run(grid);
+  const ResultSet results = ExperimentEngine().run(named_grid("fig2_flushed"));
 
   print_banner(std::cout, "Figure 2: flushed instructions w.r.t. fetched (FLUSH policy)");
   ReportTable table({"workload", "flushed %", "flush events", "fetched"});
   std::map<WorkloadType, std::vector<double>> by_type;
-  for (const auto& w : workloads) {
+  for (const auto& w : grid_workloads(results)) {
     const SimResult& r = results.get(w.name, "FLUSH");
     const double pct = r.flushed_frac * 100.0;
     by_type[w.type].push_back(pct);

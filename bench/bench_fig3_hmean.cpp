@@ -11,13 +11,13 @@ int main() {
   using namespace dwarn;
   using namespace dwarn::benchutil;
 
-  const auto& workloads = paper_workloads();
   // One grid: every (workload, policy) cell plus the single-thread
   // baselines used as relative-IPC denominators, replicated across
   // SMT_BENCH_SEEDS seeds (each seed divides by its own solo runs).
-  const RunGrid grid = named_grid("fig3", GridOptions{.num_seeds = bench_seed_count()});
-  if (const auto rc = maybe_run_sharded("fig3_hmean", grid)) return *rc;
-  const ResultSet results = ExperimentEngine().run(grid);
+  const ResultSet results =
+      ExperimentEngine().run(named_grid("fig3", GridOptions{.num_seeds = bench_seed_count()}));
+  const std::vector<WorkloadSpec> workloads = grid_workloads(results);
+  const std::vector<PolicyKind> policies = grid_policies(results);
   const SoloIpcMap solo = results.solo_ipcs();
 
   print_banner(std::cout, "single-thread baseline IPCs (relative-IPC denominators, first seed)");
@@ -31,10 +31,10 @@ int main() {
 
   const analysis::RecordMetric hmean = analysis::hmean_metric(results);
   print_banner(std::cout, "Figure 3: Hmean improvement of DWarn over the other policies");
-  print_ci_metric_table(std::cout, results, workloads, kPaperPolicies, hmean,
+  print_ci_metric_table(std::cout, results, workloads, policies, hmean,
                         "Hmean of relative IPCs");
   std::cout << '\n';
-  print_ci_improvement_table(std::cout, results, workloads, kPaperPolicies, hmean,
+  print_ci_improvement_table(std::cout, results, workloads, policies, hmean,
                              "Hmean");
   std::cout << "\npaper reference (MIX+MEM avg): +13% over ICOUNT, +5% over STALL, +3% over\n"
                "FLUSH (-2% on MEM), +11% over DG, +36% over PDG\n";

@@ -10,32 +10,26 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "sim/machine_config.hpp"
 
 int main() {
   using namespace dwarn;
   using namespace dwarn::benchutil;
 
-  const std::vector<WorkloadSpec> workloads = small_machine_workloads();
-  const RunGrid grid = RunGrid()
-                           .machine(machine_spec("small"))
-                           .workloads(workloads)
-                           .policies(kPaperPolicies)
-                           .with_solo_baselines();
-  if (const auto rc = maybe_run_sharded("fig4_small_arch", grid)) return *rc;
-  const ResultSet results = ExperimentEngine().run(grid);
+  const ResultSet results = ExperimentEngine().run(named_grid("fig4_small_arch"));
   const SoloIpcMap solo = results.solo_ipcs();
+  const std::vector<WorkloadSpec> workloads = grid_workloads(results);
+  const std::vector<PolicyKind> policies = grid_policies(results);
 
   print_banner(std::cout, "Figure 4 (small machine: 4-wide, 1.4 fetch, 4 contexts)");
-  print_metric_table(std::cout, results, workloads, kPaperPolicies, throughput_metric(),
+  print_metric_table(std::cout, results, workloads, policies, throughput_metric(),
                      "throughput (IPC)");
 
   print_banner(std::cout, "Figure 4(a): DWarn throughput improvement (small machine)");
-  print_improvement_table(std::cout, results, workloads, kPaperPolicies,
+  print_improvement_table(std::cout, results, workloads, policies,
                           throughput_metric(), "throughput");
 
   print_banner(std::cout, "Figure 4(b): DWarn Hmean improvement (small machine)");
-  print_improvement_table(std::cout, results, workloads, kPaperPolicies,
+  print_improvement_table(std::cout, results, workloads, policies,
                           hmean_metric(solo), "Hmean");
 
   std::cout << "\npaper reference (MIX+MEM avg): throughput +5% vs STALL, +23% vs DG, +10% vs\n"

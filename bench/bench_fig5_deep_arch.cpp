@@ -9,32 +9,26 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "sim/machine_config.hpp"
 
 int main() {
   using namespace dwarn;
   using namespace dwarn::benchutil;
 
-  const auto& workloads = paper_workloads();
-  const RunGrid grid = RunGrid()
-                           .machine(machine_spec("deep"))
-                           .workloads(workloads)
-                           .policies(kPaperPolicies)
-                           .with_solo_baselines();
-  if (const auto rc = maybe_run_sharded("fig5_deep_arch", grid)) return *rc;
-  const ResultSet results = ExperimentEngine().run(grid);
+  const ResultSet results = ExperimentEngine().run(named_grid("fig5_deep_arch"));
   const SoloIpcMap solo = results.solo_ipcs();
+  const std::vector<WorkloadSpec> workloads = grid_workloads(results);
+  const std::vector<PolicyKind> policies = grid_policies(results);
 
   print_banner(std::cout, "Figure 5 (deep machine: 16 stages, mem 200 cycles)");
-  print_metric_table(std::cout, results, workloads, kPaperPolicies, throughput_metric(),
+  print_metric_table(std::cout, results, workloads, policies, throughput_metric(),
                      "throughput (IPC)");
 
   print_banner(std::cout, "Figure 5(a): DWarn throughput improvement (deep machine)");
-  print_improvement_table(std::cout, results, workloads, kPaperPolicies,
+  print_improvement_table(std::cout, results, workloads, policies,
                           throughput_metric(), "throughput");
 
   print_banner(std::cout, "Figure 5(b): DWarn Hmean improvement (deep machine)");
-  print_improvement_table(std::cout, results, workloads, kPaperPolicies,
+  print_improvement_table(std::cout, results, workloads, policies,
                           hmean_metric(solo), "Hmean");
 
   print_banner(std::cout, "Section 6: FLUSH re-fetch overhead on the deep machine");

@@ -9,8 +9,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "sim/machine_config.hpp"
-#include "sim/simulator.hpp"
 
 int main() {
   using namespace dwarn;
@@ -22,16 +20,12 @@ int main() {
   ReportTable table({"bench", "L1 miss%", "[paper]", "L2 miss%", "[paper]", "L1->L2%",
                      "[paper]", "type", "IPC", "bpred acc%"});
 
-  const auto& profiles = all_profiles();
-  RunGrid grid;
-  grid.machine(machine_spec("baseline")).policy(PolicyKind::ICount);
-  for (const auto& p : profiles) grid.workload(solo_workload(p.id));
-  if (const auto rc = maybe_run_sharded("table2a", grid)) return *rc;
-  const ResultSet results = ExperimentEngine().run(grid);
-
-  for (std::size_t i = 0; i < kNumBenchmarks; ++i) {
-    const BenchmarkProfile& p = profiles[i];
-    const SimResult& r = results.records()[i].result;
+  // One single-threaded run per benchmark: each record's workload names
+  // the profile it measured.
+  const ResultSet results = ExperimentEngine().run(named_grid("table2a"));
+  for (const RunRecord& rec : results.records()) {
+    const BenchmarkProfile& p = profile_of(rec.workload.benchmarks.front());
+    const SimResult& r = rec.result;
     const auto loads = static_cast<double>(r.counters.at("core.cloads"));
     const auto l1m = static_cast<double>(r.counters.at("core.cload_l1_misses"));
     const auto l2m = static_cast<double>(r.counters.at("core.cload_l2_misses"));

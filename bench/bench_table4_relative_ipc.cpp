@@ -6,21 +6,14 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "sim/machine_config.hpp"
 
 int main() {
   using namespace dwarn;
   using namespace dwarn::benchutil;
 
-  const WorkloadSpec& workload = workload_by_name("4-MIX");
-  const RunGrid grid = RunGrid()
-                           .machine(machine_spec("baseline"))
-                           .workload(workload)
-                           .policies(kPaperPolicies)
-                           .with_solo_baselines();
-  if (const auto rc = maybe_run_sharded("table4_relative_ipc", grid)) return *rc;
-  const ResultSet results = ExperimentEngine().run(grid);
+  const ResultSet results = ExperimentEngine().run(named_grid("table4_relative_ipc"));
   const SoloIpcMap solo = results.solo_ipcs();
+  const WorkloadSpec workload = grid_workloads(results).front();
 
   print_banner(std::cout, "Table 4: relative IPC of each thread in the 4-MIX workload");
   std::vector<std::string> headers{"policy"};
@@ -31,7 +24,7 @@ int main() {
   headers.emplace_back("Hmean");
   ReportTable table(std::move(headers));
 
-  for (const PolicyKind p : kPaperPolicies) {
+  for (const PolicyKind p : grid_policies(results)) {
     const SimResult& r = results.get(workload.name, policy_name(p));
     const auto rel = relative_ipcs(r, workload, solo);
     std::vector<std::string> row{std::string(policy_name(p))};

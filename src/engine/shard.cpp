@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 
 #include "common/check.hpp"
@@ -41,30 +40,6 @@ std::optional<ShardSpec> parse_shard(std::string_view s) {
   if (!k || !n) return std::nullopt;
   if (*k < 1 || *n < 1 || *k > *n) return std::nullopt;
   return ShardSpec{*k, *n};
-}
-
-std::optional<ShardSpec> shard_from_env(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return std::nullopt;
-  const auto spec = parse_shard(v);
-  if (!spec) {
-    std::fprintf(stderr,
-                 "[dwarn] warning: %s='%s' is not a valid K/N shard "
-                 "(need 1 <= K <= N <= %zu); running unsharded\n",
-                 name, v, kMaxShards);
-  }
-  return spec;
-}
-
-ShardStrategy shard_strategy_from_env(const char* name) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return ShardStrategy::Contiguous;
-  if (const auto s = shard_strategy_from_name(v)) return *s;
-  std::fprintf(stderr,
-               "[dwarn] warning: %s='%s' is not a shard strategy "
-               "(contiguous|strided); using contiguous\n",
-               name, v);
-  return ShardStrategy::Contiguous;
 }
 
 ShardPlan ShardPlan::make(std::size_t grid_size, std::size_t count,

@@ -59,18 +59,8 @@ inline constexpr std::size_t kMaxShards = 65536;
 
 /// Strict parse of "K/N": both parts plain decimal, 1 <= K <= N,
 /// N <= 65536. Anything else (zero, negative, garbage, extra fields)
-/// is nullopt — callers warn and fall back to unsharded.
+/// is nullopt — the CLIs refuse it as a usage error.
 [[nodiscard]] std::optional<ShardSpec> parse_shard(std::string_view s);
-
-/// SMT_BENCH_SHARD=K/N from the environment. Unset → nullopt silently;
-/// malformed → nullopt after a stderr warning (a bad value must degrade
-/// to an unsharded run, never abort or silently mis-shard a sweep).
-[[nodiscard]] std::optional<ShardSpec> shard_from_env(const char* name = "SMT_BENCH_SHARD");
-
-/// SMT_BENCH_SHARD_STRATEGY from the environment; unknown values warn
-/// and fall back to Contiguous.
-[[nodiscard]] ShardStrategy shard_strategy_from_env(
-    const char* name = "SMT_BENCH_SHARD_STRATEGY");
 
 /// Deterministic partition of `grid_size` run indices into `count`
 /// disjoint, jointly exhaustive slices. The plan depends only on

@@ -1,5 +1,5 @@
 // Unit tests: the process-level sharding layer — ShardPlan partitioning
-// properties, SMT_BENCH_SHARD / SMT_BENCH_SEEDS env hardening, grid
+// properties, K/N and strategy parsing, SMT_BENCH_SEEDS env hardening, grid
 // fingerprints, fragment serialization, merge_shards validation, the
 // TrajectoryStore's transparent fragment merging, and the golden
 // determinism contract: a merged sharded run is byte-identical to the
@@ -75,7 +75,7 @@ TEST(ShardPlan, MoreShardsThanRunsLeavesTrailingShardsEmpty) {
   EXPECT_TRUE(plan.indices(4).empty());
 }
 
-// ---- env parsing hardening ---------------------------------------------------
+// ---- shard spec / env parsing hardening ------------------------------------
 
 TEST(ShardSpecParse, AcceptsStrictKOverN) {
   EXPECT_EQ(parse_shard("1/1"), (ShardSpec{1, 1}));
@@ -101,29 +101,18 @@ TEST(ShardSpecParse, RejectsZeroNegativeAndMalformed) {
   }
 }
 
-TEST(ShardEnv, MalformedValuesWarnAndFallBackToUnsharded) {
-  for (const char* bad : {"garbage", "0/2", "3/2", "-1/2", "2", "1/2 "}) {
-    ASSERT_EQ(setenv("SMT_BENCH_SHARD_TEST", bad, 1), 0);
-    EXPECT_FALSE(shard_from_env("SMT_BENCH_SHARD_TEST").has_value()) << bad;
+TEST(ShardSpecParse, StrategyNamesAreStrict) {
+  EXPECT_EQ(shard_strategy_from_name("contiguous"), ShardStrategy::Contiguous);
+  EXPECT_EQ(shard_strategy_from_name("strided"), ShardStrategy::Strided);
+  for (const char* bad : {"", "zigzag", "Strided", "strided "}) {
+    EXPECT_FALSE(shard_strategy_from_name(bad).has_value()) << "'" << bad << "'";
   }
-  ASSERT_EQ(setenv("SMT_BENCH_SHARD_TEST", "2/4", 1), 0);
-  EXPECT_EQ(shard_from_env("SMT_BENCH_SHARD_TEST"), (ShardSpec{2, 4}));
-  ASSERT_EQ(unsetenv("SMT_BENCH_SHARD_TEST"), 0);
-  EXPECT_FALSE(shard_from_env("SMT_BENCH_SHARD_TEST").has_value());
-}
-
-TEST(ShardEnv, UnknownStrategyFallsBackToContiguous) {
-  ASSERT_EQ(setenv("SMT_SHARD_STRATEGY_TEST", "zigzag", 1), 0);
-  EXPECT_EQ(shard_strategy_from_env("SMT_SHARD_STRATEGY_TEST"), ShardStrategy::Contiguous);
-  ASSERT_EQ(setenv("SMT_SHARD_STRATEGY_TEST", "strided", 1), 0);
-  EXPECT_EQ(shard_strategy_from_env("SMT_SHARD_STRATEGY_TEST"), ShardStrategy::Strided);
-  ASSERT_EQ(unsetenv("SMT_SHARD_STRATEGY_TEST"), 0);
 }
 
 TEST(SeedsEnv, ZeroNegativeAndMalformedSeedCountsFallBack) {
   // SMT_BENCH_SEEDS goes through env_u64(name, 1, 64): zero is out of
   // range, negatives and garbage are non-numeric — all warn + nullopt so
-  // bench_seed_list() keeps its single-seed default.
+  // bench_seed_count() keeps its single-seed default.
   for (const char* bad : {"0", "-3", "abc", "3.5", "65", " 4", ""}) {
     ASSERT_EQ(setenv("SMT_BENCH_SEEDS_TEST", bad, 1), 0);
     EXPECT_FALSE(env_u64("SMT_BENCH_SEEDS_TEST", 1, 64).has_value()) << "'" << bad << "'";

@@ -24,7 +24,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <optional>
-#include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,14 +46,10 @@ namespace {
 
 using namespace dwarn;
 
-/// Registry grid names the sweep accepts ("fixture" is registry-only:
-/// its pinned 2x2 grid cannot fill the paper-shaped tables).
-std::string sweep_grid_names(const char* sep) {
+/// The registry grid names the sweep accepts, `sep`-separated.
+std::string grid_names(const char* sep) {
   std::string names;
-  for (const std::string& g : registered_grids()) {
-    if (g == "fixture") continue;
-    names += names.empty() ? g : sep + g;
-  }
+  for (const std::string& g : registered_grids()) names += names.empty() ? g : sep + g;
   return names;
 }
 
@@ -64,7 +60,7 @@ int usage(const char* error = nullptr) {
                "  smt_analyze sweep --bench <%s>\n"
                "      [--seeds N] [--workloads A,B,...] [--policies P,Q,...]\n"
                "      [--json PATH]\n",
-               sweep_grid_names("|").c_str());
+               grid_names("|").c_str());
   std::fprintf(stderr,
                "  smt_analyze stats <snapshot.json> [--metric throughput|cycles|flushed_frac]\n"
                "  smt_analyze diff <old.json> <new.json> [--tol PCT[%%]] [--all]\n"
@@ -73,7 +69,8 @@ int usage(const char* error = nullptr) {
                "\n"
                "sweep runs the bench's grid across N seeds (default 8; SMT_SIM_INSTS/\n"
                "SMT_WARMUP_INSTS shrink each run) and prints mean +/- 95%% bootstrap CI\n"
-               "per cell plus DWarn's paired per-seed improvement CIs. diff exits 1 when\n"
+               "per cell plus DWarn's paired per-seed improvement CIs; --workloads and\n"
+               "--policies narrow the grid to values it already has. diff exits 1 when\n"
                "a metric is worse than the tolerance (default 2%%). intervals summarizes\n"
                "telemetry interval counters per (workload, policy); --counter prints the\n"
                "per-interval time-series, --policies A,B the paired per-counter diff of\n"
@@ -105,24 +102,42 @@ std::vector<std::string> split_csv(std::string_view s) {
   return out;
 }
 
+/// Which identity columns a long-format table needs: machine and tag
+/// each show when the grid runs hold more than one distinct value.
+struct Columns {
+  bool machine = false;
+  bool tag = false;
+};
+
+Columns columns_of(const std::vector<RunRecord>& runs) {
+  Columns c;
+  const RunRecord* first = nullptr;
+  for (const RunRecord& r : runs) {
+    if (r.role != RunRole::Grid) continue;
+    if (first == nullptr) first = &r;
+    c.machine |= r.machine != first->machine;
+    c.tag |= r.tag != first->tag;
+  }
+  return c;
+}
+
 /// Long-format sweep table: one row per (machine, workload, policy, tag).
-void print_sweep_rows(const std::vector<analysis::SweepRow>& rows, bool show_machine,
-                      bool show_tag) {
+void print_sweep_rows(const std::vector<analysis::SweepRow>& rows, const Columns& cols) {
   std::vector<std::string> headers;
-  if (show_machine) headers.emplace_back("machine");
+  if (cols.machine) headers.emplace_back("machine");
   headers.emplace_back("workload");
   headers.emplace_back("policy");
-  if (show_tag) headers.emplace_back("tag");
+  if (cols.tag) headers.emplace_back("tag");
   for (const char* h : {"n", "mean ± 95% CI", "stddev", "min", "max"}) {
     headers.emplace_back(h);
   }
   ReportTable table(std::move(headers));
   for (const analysis::SweepRow& r : rows) {
     std::vector<std::string> row;
-    if (show_machine) row.push_back(r.key.machine);
+    if (cols.machine) row.push_back(r.key.machine);
     row.push_back(r.key.workload);
     row.push_back(r.key.policy);
-    if (show_tag) row.push_back(r.key.tag);
+    if (cols.tag) row.push_back(r.key.tag);
     row.push_back(std::to_string(r.stats.n));
     row.push_back(analysis::fmt_mean_ci(r.stats));
     row.push_back(fmt(r.stats.stddev, 3));
@@ -134,26 +149,34 @@ void print_sweep_rows(const std::vector<analysis::SweepRow>& rows, bool show_mac
 }
 
 void print_paired_rows(const ResultSet& rs, const analysis::RecordMetric& metric,
-                       std::span<const PolicyKind> policies, bool show_machine) {
+                       const Columns& cols) {
+  std::vector<std::string> policies;
+  for (const RunRecord& r : rs.records()) {
+    if (r.role == RunRole::Grid && r.policy != "DWarn" &&
+        std::find(policies.begin(), policies.end(), r.policy) == policies.end()) {
+      policies.push_back(r.policy);
+    }
+  }
   bool any = false;
-  for (const PolicyKind p : policies) {
-    if (p == PolicyKind::DWarn) continue;
-    const auto rows = analysis::paired_comparison(rs, "DWarn", policy_name(p), metric);
+  for (const std::string& p : policies) {
+    const auto rows = analysis::paired_comparison(rs, "DWarn", p, metric);
     if (rows.empty()) continue;
     if (!any) {
       print_banner(std::cout, "DWarn paired per-seed improvement (mean ± 95% CI)");
       any = true;
     }
     std::vector<std::string> headers;
-    if (show_machine) headers.emplace_back("machine");
+    if (cols.machine) headers.emplace_back("machine");
     headers.emplace_back("workload");
+    if (cols.tag) headers.emplace_back("tag");
     headers.emplace_back("n");
-    headers.emplace_back("Δ% vs " + std::string(policy_name(p)));
+    headers.emplace_back("Δ% vs " + p);
     ReportTable table(std::move(headers));
     for (const analysis::PairedRow& r : rows) {
       std::vector<std::string> row;
-      if (show_machine) row.push_back(r.machine);
+      if (cols.machine) row.push_back(r.machine);
       row.push_back(r.workload);
+      if (cols.tag) row.push_back(r.tag);
       row.push_back(std::to_string(r.stats.n));
       row.push_back(fmt_signed_pct(r.stats.mean) + " ± " +
                     fmt(r.stats.ci_halfwidth(), 2));
@@ -167,71 +190,54 @@ void print_paired_rows(const ResultSet& rs, const analysis::RecordMetric& metric
 struct SweepOptions {
   std::string bench;
   std::size_t num_seeds = 8;
-  std::vector<std::string> workloads;  ///< empty = the bench's default set
+  std::vector<std::string> workloads;  ///< empty = the grid's whole axis
   std::vector<std::string> policies;
   std::string json_path;
 };
 
 int run_sweep(const SweepOptions& opt) {
-  std::vector<WorkloadSpec> workloads;
-  for (const WorkloadSpec& w : paper_workloads()) {
-    if (opt.workloads.empty() ||
-        std::find(opt.workloads.begin(), opt.workloads.end(), w.name) !=
-            opt.workloads.end()) {
-      workloads.push_back(w);
-    }
+  // Grid construction lives in the registry, shared with the benches and
+  // smt_shard: a sweep here and a sharded run there expand the identical
+  // grid. The filters only narrow it; the registry refuses values the
+  // grid does not have.
+  if (!is_registered_grid(opt.bench)) {
+    return usage(("unknown --bench (" + grid_names(", ") + ")").c_str());
   }
-  if (workloads.size() != (opt.workloads.empty() ? paper_workloads().size()
-                                                 : opt.workloads.size())) {
-    return usage("unknown workload name (see paper_workloads: 2-ILP ... 8-MEM)");
+  std::vector<RunSpec> specs;
+  try {
+    specs = named_grid(opt.bench, GridOptions{.num_seeds = opt.num_seeds,
+                                              .workloads = opt.workloads,
+                                              .policies = opt.policies})
+                .expand();
+  } catch (const std::invalid_argument& e) {
+    return usage(e.what());
   }
-  std::vector<PolicyKind> policies;
-  for (const PolicyKind p : kPaperPolicies) {
-    if (opt.policies.empty() ||
-        std::find(opt.policies.begin(), opt.policies.end(),
-                  std::string(policy_name(p))) != opt.policies.end()) {
-      policies.push_back(p);
-    }
-  }
-  if (policies.size() != (opt.policies.empty() ? kPaperPolicies.size()
-                                               : opt.policies.size())) {
-    return usage("unknown policy name (ICOUNT, STALL, FLUSH, DG, PDG, DWarn)");
-  }
-
-  // Grid construction lives in the registry, shared with smt_shard: a
-  // sweep here and a sharded run there must expand the identical grid.
-  if (!is_registered_grid(opt.bench) || opt.bench == "fixture") {
-    return usage(("unknown --bench (" + sweep_grid_names(", ") + ")").c_str());
-  }
-  const bool machine_variants = opt.bench == "ablation_detect_delay";
-  const RunGrid grid = named_grid(
-      opt.bench, GridOptions{.num_seeds = opt.num_seeds, .workloads = workloads,
-                             .policies = policies});
 
   std::cout << "sweeping " << opt.bench << " across " << opt.num_seeds << " seed"
             << (opt.num_seeds == 1 ? "" : "s") << "...\n";
-  const ResultSet results = ExperimentEngine().run(grid);
+  const ResultSet results = ExperimentEngine().run(specs);
 
-  const analysis::RecordMetric metric = opt.bench == "fig3"
-                                            ? analysis::hmean_metric(results)
-                                            : analysis::throughput_metric();
-  const char* metric_name = opt.bench == "fig3" ? "Hmean of relative IPCs" : "throughput";
+  // Grids with solo baselines are scored on Hmean of relative IPCs, like
+  // their benches; the rest on throughput.
+  const bool hmean = std::any_of(results.records().begin(), results.records().end(),
+                                 [](const RunRecord& r) { return r.role == RunRole::Solo; });
+  const analysis::RecordMetric metric =
+      hmean ? analysis::hmean_metric(results) : analysis::throughput_metric();
+  const char* metric_name = hmean ? "Hmean of relative IPCs" : "throughput";
+  const Columns cols = columns_of(results.records());
   print_banner(std::cout, std::string(metric_name) + " — mean ± 95% CI per cell");
-  print_sweep_rows(analysis::sweep_stats(results, metric), machine_variants, false);
+  print_sweep_rows(analysis::sweep_stats(results, metric), cols);
   std::cout << '\n';
-  print_paired_rows(results, metric, policies, machine_variants);
+  print_paired_rows(results, metric, cols);
 
   if (!opt.json_path.empty()) {
-    // Record the run windows like write_bench_json does: a later diff
-    // against this snapshot must be able to detect window mismatches.
-    const RunLength len = RunLength::from_env();
+    // The meta block of a bench snapshot, with the windows the grid
+    // actually ran (a pinned-length grid ignores SMT_BENCH_WINDOWS), so a
+    // later diff against this snapshot can detect window mismatches.
     ResultStore store;
-    store.set_meta("bench", opt.bench);
-    store.set_meta("schema", "1");
+    for (const auto& [k, v] : bench_meta(opt.bench, specs.front().len)) store.set_meta(k, v);
     store.set_meta("tool", "smt_analyze sweep");
     store.set_meta("seeds", std::to_string(opt.num_seeds));
-    store.set_meta("measure_insts", std::to_string(len.measure_insts));
-    store.set_meta("warmup_insts", std::to_string(len.warmup_insts));
     store.add_all(results);
     if (!store.write_json(opt.json_path)) {
       std::fprintf(stderr, "smt_analyze: cannot write snapshot '%s'\n",
@@ -398,12 +404,7 @@ int run_stats(const std::string& path, const std::string& metric_name) {
   std::cout << path << ": " << snap.runs.size() << " runs"
             << (bench == snap.meta.end() ? "" : " (bench " + bench->second + ")") << "\n";
   print_banner(std::cout, metric_name + " — mean ± 95% CI per cell");
-  bool machines = false, tags = false;
-  for (const RunRecord& r : snap.runs) {
-    machines |= r.machine != snap.runs.front().machine;
-    tags |= !r.tag.empty();
-  }
-  print_sweep_rows(analysis::sweep_stats(snap.result_set(), metric), machines, tags);
+  print_sweep_rows(analysis::sweep_stats(snap.result_set(), metric), columns_of(snap.runs));
   return 0;
 }
 
