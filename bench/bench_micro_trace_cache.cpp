@@ -3,8 +3,8 @@
 // Two measurements:
 //   1. Stream level (always): for every distinct (benchmark, tid, seed)
 //      trace key the fig1 grid touches, time generating N instructions
-//      from scratch with TraceStream vs replaying the same N from a warm
-//      MaterializedTrace through ReplayStream. Checksums of both passes
+//      from scratch with TraceStream vs replaying the same N from a fully
+//      generated MaterializedTrace through ReplayStream. Checksums of both passes
 //      must agree — the bench doubles as a determinism check.
 //   2. End to end (SMT_MICRO_E2E=1, default on): wall clock of the full
 //      fig1 grid through the ExperimentEngine with the cache off, cold,
@@ -129,7 +129,11 @@ int main() {
       return std::chrono::duration<double>(Clock::now() - t0).count();
     });
 
+    // Generate the whole buffer before timing, so every replay pass reads
+    // published chunks and the ratio compares replay against generation,
+    // not lazy generation against itself.
     const auto trace = std::make_shared<const MaterializedTrace>(prof, id.tid, id.seed, n);
+    (void)trace->materialize(n);
     std::uint64_t replay_sum = 0;
     const double replay_s = best_of(reps, [&] {
       ReplayStream s(trace);

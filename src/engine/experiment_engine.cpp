@@ -88,8 +88,9 @@ std::vector<std::size_t> ExperimentEngine::batch_order(const std::vector<RunSpec
   if (specs.size() < 2 || !trace_cache_enabled()) return order;
   // Warm-cache batching: all policy/machine/tag variants of one
   // (workload, seed) grid point share the same per-thread trace keys, so
-  // executing them back-to-back turns every run after the group's first
-  // into pure replay — and keeps the cache's working set one group wide
+  // executing them back-to-back makes them share one generation of each
+  // trace (whichever run first reads a chunk generates it; the others
+  // replay it) — and keeps the cache's working set one group wide
   // instead of one grid wide. The stable sort preserves expansion order
   // inside a group; records are still indexed by grid position, so the
   // ResultSet (and every serialized byte) is unchanged.

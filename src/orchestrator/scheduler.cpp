@@ -99,7 +99,11 @@ SweepOutcome Scheduler::run(const DispatchPlan& plan, const ResumeSeed* resume,
     }
   };
 
-  while (tracker.work_remaining() && !aborted) {
+  const auto interrupted = [&] {
+    return opt_.stop_signal != nullptr ? opt_.stop_signal->load() : 0;
+  };
+
+  while (tracker.work_remaining() && !aborted && interrupted() == 0) {
     auto now = TrackerClock::now();
 
     // Dispatch until the job slots are full or nothing is ready yet.
@@ -175,21 +179,31 @@ SweepOutcome Scheduler::run(const DispatchPlan& plan, const ResumeSeed* resume,
       }
     }
 
-    if (tracker.work_remaining() && !aborted) {
+    if (tracker.work_remaining() && !aborted && interrupted() == 0) {
       std::this_thread::sleep_for(opt_.poll_interval);
     }
   }
 
-  // On abort, reap what is still in flight — a sweep that cannot merge
-  // must not leave workers grinding in the background.
+  // On abort or interrupt, reap what is still in flight — a sweep that
+  // cannot merge must not leave workers grinding in the background. An
+  // interrupted shard goes back to pending in the journal, so `resume`
+  // picks it up like any failed attempt.
+  const int signal = interrupted();
   for (const std::size_t shard : tracker.running()) {
     launcher_->kill(tracker.progress(shard).job);
+    if (signal != 0 && journal != nullptr) {
+      journal->record_failed(shard, total_attempts(shard),
+                             "interrupted by signal " + std::to_string(signal),
+                             /*abandoned=*/false);
+    }
     if (opt_.verbose) {
-      log_warn("orch", "shard %zu/%zu killed (sweep aborted)", shard, plan.shards);
+      log_warn("orch", "shard %zu/%zu killed (%s)", shard, plan.shards,
+               signal != 0 ? "sweep interrupted" : "sweep aborted");
     }
   }
 
   SweepOutcome outcome;
+  outcome.interrupted_by = signal;
   outcome.ok = tracker.all_done();
   outcome.retries_used = tracker.retries_used();
   for (std::size_t k = 1; k <= plan.shards; ++k) {

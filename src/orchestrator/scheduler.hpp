@@ -7,11 +7,13 @@
 // JobTracker, and re-dispatches until every shard's fragment exists or a
 // shard exhausts its attempt budget. On exhaustion the sweep aborts:
 // still-running jobs are killed rather than left to burn the machine for
-// a merge that can no longer happen. The scheduler never touches result
-// bytes — workers write fragments, the MergeStage validates and merges
-// them — so a scheduling decision cannot change what a sweep produces.
+// a merge that can no longer happen. An interrupt (stop_signal) ends the
+// sweep the same way. The scheduler never touches result bytes — workers
+// write fragments, the MergeStage validates and merges them — so a
+// scheduling decision cannot change what a sweep produces.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <optional>
@@ -50,6 +52,12 @@ struct SchedulerOptions {
   /// and N=1, exactly one fragment lands before the driver dies.
   std::optional<std::size_t> fault_driver_kill_after;
 
+  /// Stop request, typically stored by a SIGINT/SIGTERM handler: when it
+  /// holds a nonzero signal number the dispatch loop stops at its next
+  /// round, kills every in-flight worker's process group and reaps it.
+  /// Null: the sweep cannot be interrupted this way.
+  const std::atomic<int>* stop_signal = nullptr;
+
   /// Fill options from the environment:
   ///   SMT_ORCH_POLL_MS           scheduler poll sleep in [1, 60000] ms
   ///                              (status --follow reuses it for its refresh)
@@ -74,6 +82,7 @@ struct SweepOutcome {
   bool ok = false;  ///< every shard Done
   std::vector<ShardOutcome> shards;
   std::size_t retries_used = 0;
+  int interrupted_by = 0;  ///< the stop_signal value that ended the sweep, or 0
 };
 
 class Scheduler {

@@ -88,10 +88,15 @@ std::uint64_t thread_stream_seed(const WorkloadSpec& workload, std::size_t t,
 }
 
 std::uint64_t trace_window_insts(const RunLength& len) {
-  // Slack past the committed windows: the front end runs ahead of commit
-  // by at most the ROB + front-end buffering, far below 8K on every
-  // machine preset. Overshooting costs a ReplayStream continuation (still
-  // bit-exact), never an error.
+  // The windows count commits over *all* threads, so this bounds one
+  // thread's reads only in the worst case (its co-runners starve); a
+  // typical thread of an N-thread run reads about 1/N of it. The bound
+  // is a capacity, not an allocation: MaterializedTrace generates chunks
+  // on first read, so the unread remainder costs nothing. Slack past the
+  // committed windows: the front end runs ahead of commit by at most the
+  // ROB + front-end buffering, far below 8K on every machine preset.
+  // Overshooting costs a ReplayStream continuation (still bit-exact),
+  // never an error.
   constexpr std::uint64_t kSlackInsts = 8192;
   return len.warmup_insts + len.measure_insts + kSlackInsts;
 }

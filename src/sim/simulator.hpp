@@ -118,8 +118,9 @@ class Simulator {
 
 /// Upper bound on one thread's instruction demand for a run of `len`:
 /// both windows plus in-flight slack (a thread can commit nearly every
-/// instruction of a run when its co-runners stall). Sizes MaterializedTrace
-/// buffers so warm-cache replays stay inside them.
+/// instruction of a run when its co-runners stall). The capacity of
+/// MaterializedTrace buffers, so warm-cache replays stay inside them;
+/// only the part a run actually reads is generated.
 [[nodiscard]] std::uint64_t trace_window_insts(const RunLength& len);
 
 /// Convenience: build + run in one call (warm-cache aware: the trace

@@ -1,9 +1,9 @@
 // Lightweight phase tracing in Chrome trace-event format.
 //
-// The engine and the tools record coarse spans — "materialize" (building
-// a trace-cache entry), "simulate" (one run), "serialize" (writing a
-// snapshot), "merge", "dispatch" — into a process-global in-memory
-// tracer; flush() writes a {"traceEvents":[...]} JSON file that loads
+// The engine and the tools record coarse spans — "materialize"
+// (generating trace-cache chunks), "simulate" (one run), "serialize"
+// (writing a snapshot), "merge", "dispatch" — into a process-global
+// in-memory tracer; flush() writes a {"traceEvents":[...]} JSON file that loads
 // directly in Perfetto / chrome://tracing. Timestamps are microseconds of
 // host wall clock since the tracer was armed: host-specific by nature,
 // which is fine because trace files are telemetry (TELEM_*), never

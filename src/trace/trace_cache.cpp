@@ -1,40 +1,61 @@
 #include "trace/trace_cache.hpp"
 
+#include <algorithm>
+
 #include "common/env.hpp"
 #include "telemetry/phase_trace.hpp"
 
 namespace dwarn {
 
 MaterializedTrace::MaterializedTrace(const BenchmarkProfile& prof, ThreadId tid,
-                                     std::uint64_t seed, std::uint64_t num_insts)
-    : key_{prof.id, tid, seed}, tail_(prof, tid, seed) {
-  // Generate through the tail stream itself, retiring as we copy, so the
-  // generator's window stays one instruction deep and, at the end, tail_
-  // *is* the state right past the buffer.
-  buf_.reserve(static_cast<std::size_t>(num_insts));
-  for (InstSeq i = 0; i < num_insts; ++i) {
-    buf_.push_back(tail_.at(i));
-    tail_.retire_below(i + 1);
-  }
+                                     std::uint64_t seed, std::uint64_t capacity)
+    : key_{prof.id, tid, seed},
+      capacity_(capacity),
+      gen_(prof, tid, seed),
+      layout_(gen_.layout()),
+      chunks_(static_cast<std::size_t>((capacity + kChunkInsts - 1) / kChunkInsts)) {
+  DWARN_CHECK(capacity > 0);
 }
 
-MaterializedTrace::MaterializedTrace(const MaterializedTrace& base,
-                                     std::uint64_t num_insts)
-    : key_(base.key_), tail_(base.tail_), buf_(base.buf_) {
-  DWARN_CHECK(num_insts >= buf_.size());
-  buf_.reserve(static_cast<std::size_t>(num_insts));
-  for (InstSeq i = buf_.size(); i < num_insts; ++i) {
-    buf_.push_back(tail_.at(i));
-    tail_.retire_below(i + 1);
+std::uint64_t MaterializedTrace::materialize(std::uint64_t n) const {
+  n = std::min(n, capacity_);
+  std::uint64_t have = size();
+  if (have >= n) return have;
+  std::lock_guard lk(mu_);
+  have = size_.load(std::memory_order_relaxed);  // only written under mu_
+  if (have >= n) return have;  // another reader generated it meanwhile
+  telem::PhaseSpan span("materialize", "{\"bench\":\"" + std::string(gen_.profile().name) +
+                                           "\",\"from\":" + std::to_string(have) + "}");
+  while (have < n) {
+    // Generate through the retained stream, retiring as we copy, so its
+    // window stays one instruction deep and, once the buffer is full,
+    // gen_ *is* the state right past it.
+    const std::uint64_t end = std::min(have + kChunkInsts, capacity_);
+    auto chunk = std::make_unique<TraceInst[]>(static_cast<std::size_t>(end - have));
+    for (InstSeq i = have; i < end; ++i) {
+      chunk[static_cast<std::size_t>(i - have)] = gen_.at(i);
+      gen_.retire_below(i + 1);
+    }
+    chunks_[static_cast<std::size_t>(have / kChunkInsts)] = std::move(chunk);
+    have = end;
+    size_.store(have, std::memory_order_release);
   }
+  return have;
+}
+
+const TraceStream& MaterializedTrace::tail() const {
+  // After the buffer is full the generator never moves again, so the
+  // acquire inside materialize makes it safe to read without the lock.
+  (void)materialize(capacity_);
+  return gen_;
 }
 
 std::size_t MaterializedTrace::bytes() const {
-  // The generator tail (layout, address streams, small deques) is a few
-  // hundred bytes; a fixed overhead keeps many tiny buffers from
-  // accounting as free.
+  // The generator (address streams, small deques) and the chunk table are
+  // a few hundred bytes to a few KiB; a fixed overhead keeps many
+  // untouched buffers from accounting as free.
   constexpr std::size_t kEntryOverhead = 4096;
-  return buf_.capacity() * sizeof(TraceInst) + kEntryOverhead;
+  return static_cast<std::size_t>(size()) * sizeof(TraceInst) + kEntryOverhead;
 }
 
 std::shared_ptr<const MaterializedTrace> TraceCache::acquire(const BenchmarkProfile& prof,
@@ -44,75 +65,36 @@ std::shared_ptr<const MaterializedTrace> TraceCache::acquire(const BenchmarkProf
   if (min_insts == 0) min_insts = 1;
   const TraceKey key{prof.id, tid, seed};
 
-  std::unique_lock lk(mu_);
-  std::shared_ptr<const MaterializedTrace> grow_base;
-  for (;;) {
-    const auto it = slots_.find(key);
-    if (it == slots_.end()) break;  // miss: this caller builds
-    if (it->second.building) {
-      // Another caller is materializing this key; wait for its publish
-      // rather than duplicating the generation work.
-      cv_.wait(lk);
-      continue;
-    }
-    if (it->second.trace->size() >= min_insts) {
-      ++stats_.hits;
-      touch_locked(key);
-      return it->second.trace;
-    }
-    // Cached buffer is too short for this run: extend it from its
-    // retained tail state (O(delta) generation). Holders of the old
-    // buffer keep it alive through their shared_ptr.
-    grow_base = std::move(it->second.trace);
-    bytes_ -= grow_base->bytes();
-    lru_.remove(key);
-    break;
+  std::lock_guard lk(mu_);
+  const auto it = std::find_if(lru_.begin(), lru_.end(),
+                               [&](const auto& t) { return t->key() == key; });
+  if (it != lru_.end() && (*it)->capacity() >= min_insts) {
+    ++stats_.hits;
+    lru_.splice(lru_.begin(), lru_, it);
+  } else {
+    // A new key, or a cached capacity too small for this run: start a
+    // fresh lazy buffer. Holders of a replaced one keep it alive through
+    // their shared_ptr.
+    ++(it != lru_.end() ? stats_.grows : stats_.misses);
+    if (it != lru_.end()) lru_.erase(it);
+    lru_.push_front(std::make_shared<const MaterializedTrace>(prof, tid, seed, min_insts));
   }
-
-  slots_[key].building = true;
-  ++(grow_base ? stats_.grows : stats_.misses);
-  lk.unlock();
-
-  std::shared_ptr<const MaterializedTrace> built;
-  try {
-    telem::PhaseSpan span("materialize",
-                          "{\"bench\":\"" + std::string(prof.name) +
-                              "\",\"insts\":" + std::to_string(min_insts) + "}");
-    built = grow_base
-                ? std::make_shared<const MaterializedTrace>(*grow_base, min_insts)
-                : std::make_shared<const MaterializedTrace>(prof, tid, seed, min_insts);
-  } catch (...) {
-    lk.lock();
-    slots_.erase(key);
-    cv_.notify_all();
-    throw;
-  }
-
-  lk.lock();
-  Slot& slot = slots_[key];
-  slot.trace = built;
-  slot.building = false;
-  bytes_ += built->bytes();
-  lru_.push_front(key);
-  evict_over_budget_locked(key);
-  cv_.notify_all();
-  return built;
+  // Readers have generated more since the last acquire: re-check now.
+  evict_over_budget_locked();
+  return lru_.front();
 }
 
-void TraceCache::touch_locked(const TraceKey& key) {
-  lru_.remove(key);
-  lru_.push_front(key);
+std::size_t TraceCache::bytes_locked() const {
+  std::size_t total = 0;
+  for (const auto& t : lru_) total += t->bytes();
+  return total;
 }
 
-void TraceCache::evict_over_budget_locked(const TraceKey& keep) {
-  while (bytes_ > budget_bytes_ && !lru_.empty()) {
-    const TraceKey victim = lru_.back();
-    if (victim == keep) break;  // freshly touched; nothing older remains
+void TraceCache::evict_over_budget_locked() {
+  std::size_t total = bytes_locked();
+  while (total > budget_bytes_ && lru_.size() > 1) {
+    total -= lru_.back()->bytes();
     lru_.pop_back();
-    const auto it = slots_.find(victim);
-    DWARN_CHECK(it != slots_.end() && it->second.trace != nullptr);
-    bytes_ -= it->second.trace->bytes();
-    slots_.erase(it);
     ++stats_.evictions;
   }
 }
@@ -121,26 +103,21 @@ TraceCacheStats TraceCache::stats() const {
   std::lock_guard lk(mu_);
   TraceCacheStats s = stats_;
   s.entries = lru_.size();
-  s.bytes = bytes_;
+  s.bytes = bytes_locked();
   s.budget_bytes = budget_bytes_;
   return s;
 }
 
 void TraceCache::clear() {
   std::lock_guard lk(mu_);
-  // In-flight builders republish into the emptied map when they finish.
-  for (auto it = slots_.begin(); it != slots_.end();) {
-    it = it->second.building ? std::next(it) : slots_.erase(it);
-  }
   lru_.clear();
-  bytes_ = 0;
   stats_ = TraceCacheStats{};
 }
 
 void TraceCache::set_budget_bytes(std::size_t bytes) {
   std::lock_guard lk(mu_);
   budget_bytes_ = bytes;
-  if (!lru_.empty()) evict_over_budget_locked(lru_.front());
+  evict_over_budget_locked();
 }
 
 TraceCache& TraceCache::shared() {

@@ -1,29 +1,31 @@
-// Warm trace cache: materialize an instruction stream once, replay it
+// Warm trace cache: generate an instruction stream once, replay it
 // across every grid point that needs it.
 //
 // The policy and machine axes of an experiment grid never change the
 // workload trace — only (BenchmarkProfile, tid, seed) does — so a sweep
 // that regenerates each thread's stream per run repeats identical work.
-// MaterializedTrace generates the stream once into an immutable contiguous
-// buffer; ReplayStream satisfies the InstStream contract by indexing that
-// buffer; TraceCache shares the buffers across concurrent runs under an
-// LRU byte budget.
+// MaterializedTrace is a lazy, append-only buffer of one such stream: it
+// generates fixed-size chunks only when a reader first asks past the
+// published frontier, and published chunks never move. ReplayStream
+// satisfies the InstStream contract by indexing that buffer; TraceCache
+// shares the buffers across concurrent runs under an LRU budget counted
+// in generated bytes.
 //
 // Determinism contract: a replayed run is bit-identical to a regenerated
 // run. Generation is a pure function of (profile, tid, seed), the buffer
-// records its output verbatim, and a run that outlives the buffer
-// continues from a snapshot of the generator state taken right after the
-// last materialized instruction — so the core observes the exact sequence
+// records its output verbatim, and a run that outlives the buffer's
+// capacity continues from a copy of the generator state taken right after
+// the last buffered instruction — so the core observes the exact sequence
 // TraceStream would have produced, and BENCH_*.json snapshots compare
 // byte-for-byte with the cache on or off (enforced by ctest + CI).
 //
 // Environment knobs (read per construction, so tests can toggle them):
 //   SMT_TRACE_CACHE     1 (default) share traces; 0 regenerate per run
-//   SMT_TRACE_CACHE_MB  LRU budget for cached buffers (default 256)
+//   SMT_TRACE_CACHE_MB  LRU budget for generated bytes (default 256)
 #pragma once
 
+#include <atomic>
 #include <compare>
-#include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <map>
@@ -51,43 +53,68 @@ struct TraceKey {
   auto operator<=>(const TraceKey&) const = default;
 };
 
-/// Immutable buffer of the first `num_insts` correct-path instructions of
-/// one (profile, tid, seed) stream, plus the generator state right past
-/// the buffer so replay can extend the sequence bit-exactly.
+/// Lazy buffer of the first `capacity` correct-path instructions of one
+/// (profile, tid, seed) stream. Instructions are generated in chunks of
+/// kChunkInsts, under the trace's mutex, from a retained TraceStream, and
+/// only when a reader first needs them. Each chunk is published with a
+/// release store of the frontier (size()); readers that have observed a
+/// frontier index everything below it without locking, because published
+/// chunks are never written or moved again. Logically const: generation
+/// only reveals more of a sequence fixed by the key.
 class MaterializedTrace {
  public:
+  /// Instructions generated per step. Small enough that a trace holds at
+  /// most one chunk past the deepest read; large enough that the mutex
+  /// is taken once per 4K instructions.
+  static constexpr std::uint64_t kChunkInsts = 4096;
+
+  /// Constructs the generator (code layout, address streams) but no
+  /// instructions. `capacity` must be positive.
   MaterializedTrace(const BenchmarkProfile& prof, ThreadId tid, std::uint64_t seed,
-                    std::uint64_t num_insts);
+                    std::uint64_t capacity);
 
-  /// Extension: `base`'s buffer plus generation from base.size() up to
-  /// `num_insts` (>= base.size()), continued from the retained tail state
-  /// — O(delta) work instead of regenerating the whole stream, and
-  /// bit-identical to a from-scratch materialization of the same length.
-  MaterializedTrace(const MaterializedTrace& base, std::uint64_t num_insts);
-
-  [[nodiscard]] std::uint64_t size() const { return buf_.size(); }
+  /// Upper bound on buffered instructions; replays past it continue from
+  /// tail() privately.
+  [[nodiscard]] std::uint64_t capacity() const { return capacity_; }
+  /// Published frontier: instructions [0, size()) are generated and
+  /// readable lock-free.
+  [[nodiscard]] std::uint64_t size() const { return size_.load(std::memory_order_acquire); }
+  /// Generate until size() >= min(n, capacity()); returns size(). Blocks
+  /// only while another reader generates the chunk this one needs.
+  std::uint64_t materialize(std::uint64_t n) const;
+  /// Instruction `seq`; requires seq < a size() this thread observed.
   [[nodiscard]] const TraceInst& operator[](InstSeq seq) const {
-    return buf_[static_cast<std::size_t>(seq)];
+    return chunks_[static_cast<std::size_t>(seq / kChunkInsts)]
+                  [static_cast<std::size_t>(seq % kChunkInsts)];
   }
-  [[nodiscard]] const CodeLayout& layout() const { return tail_.layout(); }
-  /// Generator state positioned at sequence size(): the continuation seed
-  /// for replays that run past the buffer.
-  [[nodiscard]] const TraceStream& tail() const { return tail_; }
+  [[nodiscard]] const CodeLayout& layout() const { return layout_; }
+  /// Generator state positioned at capacity(): the continuation seed for
+  /// replays that run past the buffer. Materializes the whole buffer.
+  [[nodiscard]] const TraceStream& tail() const;
   [[nodiscard]] const TraceKey& key() const { return key_; }
-  /// Approximate resident bytes (buffer + generator overhead), the unit
-  /// the cache budget is accounted in.
+  /// Approximate resident bytes: the generated instructions plus a fixed
+  /// per-entry overhead. The unit the cache budget is accounted in.
   [[nodiscard]] std::size_t bytes() const;
 
  private:
   TraceKey key_;
-  TraceStream tail_;
-  std::vector<TraceInst> buf_;
+  std::uint64_t capacity_;
+  mutable std::mutex mu_;
+  mutable TraceStream gen_;  ///< positioned at size(); guarded by mu_
+  /// A copy of the generator's layout, immutable and readable without
+  /// the mutex.
+  CodeLayout layout_;
+  /// One slot per chunk of capacity, allocated at construction so the
+  /// table never reallocates; slot c is filled before size() passes it.
+  mutable std::vector<std::unique_ptr<TraceInst[]>> chunks_;
+  mutable std::atomic<std::uint64_t> size_{0};
 };
 
-/// InstStream over a shared MaterializedTrace. Reads are lock-free random
-/// access into the immutable buffer; sequences past the buffer fall back
-/// to a private continuation generator cloned from the trace's tail, so
-/// an undersized buffer costs speed, never correctness.
+/// InstStream over a shared MaterializedTrace. Reads below the frontier
+/// this replay last observed are lock-free indexing; the first read past
+/// it extends the shared buffer; sequences past the capacity fall back to
+/// a private continuation generator cloned from the trace's tail, so an
+/// undersized buffer costs speed, never correctness.
 class ReplayStream final : public InstStream {
  public:
   explicit ReplayStream(std::shared_ptr<const MaterializedTrace> trace)
@@ -98,7 +125,11 @@ class ReplayStream final : public InstStream {
   const TraceInst& at(InstSeq seq) override {
     DWARN_CHECK(seq >= base_seq_);
     if (seq >= hi_seq_) hi_seq_ = seq + 1;
-    if (seq < trace_->size()) return (*trace_)[seq];
+    if (seq < ready_) return (*trace_)[seq];
+    if (seq < trace_->capacity()) {
+      ready_ = trace_->materialize(seq + 1);
+      return (*trace_)[seq];
+    }
     if (!cont_) cont_.emplace(trace_->tail());
     return cont_->at(seq);
   }
@@ -115,13 +146,14 @@ class ReplayStream final : public InstStream {
     return static_cast<std::size_t>(hi_seq_ - base_seq_);
   }
 
-  /// Whether this replay ran past the materialized buffer (test hook).
+  /// Whether this replay ran past the buffer's capacity (test hook).
   [[nodiscard]] bool overflowed() const { return cont_.has_value(); }
   [[nodiscard]] const MaterializedTrace& trace() const { return *trace_; }
 
  private:
   std::shared_ptr<const MaterializedTrace> trace_;
   std::optional<TraceStream> cont_;  ///< lazy continuation past the buffer
+  InstSeq ready_ = 0;  ///< a frontier of trace_ this replay has observed
   InstSeq base_seq_ = 0;
   InstSeq hi_seq_ = 0;  ///< one past the highest sequence served
 };
@@ -130,24 +162,28 @@ class ReplayStream final : public InstStream {
 /// the last clear()).
 struct TraceCacheStats {
   std::uint64_t hits = 0;       ///< acquire served from a cached buffer
-  std::uint64_t misses = 0;     ///< acquire materialized a new key
-  std::uint64_t grows = 0;      ///< cached buffer too short; rebuilt larger
+  std::uint64_t misses = 0;     ///< acquire created a buffer for a new key
+  std::uint64_t grows = 0;      ///< cached capacity too small; replaced larger
   std::uint64_t evictions = 0;  ///< entries dropped to fit the budget
   std::uint64_t entries = 0;    ///< currently cached buffers
-  std::uint64_t bytes = 0;      ///< currently cached bytes
+  std::uint64_t bytes = 0;      ///< generated bytes of the cached buffers
   std::uint64_t budget_bytes = 0;
 };
 
 /// Thread-safe LRU cache of MaterializedTrace buffers keyed by TraceKey.
-/// Concurrent acquires of the same key build once: later callers block
-/// until the builder publishes. Evicted buffers stay alive for holders of
-/// their shared_ptr; the budget bounds cached bytes, not in-flight bytes.
+/// acquire only looks up or constructs an empty lazy buffer — generation
+/// happens later, in the readers, chunk by chunk — so it never waits on
+/// another worker's generation. The budget counts generated bytes, which
+/// grow after acquire returns, so it is re-checked on every acquire.
+/// Evicted buffers stay alive for holders of their shared_ptr; the budget
+/// bounds cached bytes, not in-flight bytes.
 class TraceCache {
  public:
   explicit TraceCache(std::size_t budget_bytes) : budget_bytes_(budget_bytes) {}
 
-  /// The buffer for (prof, tid, seed), materialized (or rebuilt larger)
-  /// so that size() >= min_insts. min_insts == 0 is treated as 1.
+  /// The buffer for (prof, tid, seed) with capacity() >= min_insts,
+  /// replacing a cached one of smaller capacity. min_insts == 0 is
+  /// treated as 1.
   [[nodiscard]] std::shared_ptr<const MaterializedTrace> acquire(
       const BenchmarkProfile& prof, ThreadId tid, std::uint64_t seed,
       std::uint64_t min_insts);
@@ -164,23 +200,18 @@ class TraceCache {
   static TraceCache& shared();
 
  private:
-  struct Slot {
-    std::shared_ptr<const MaterializedTrace> trace;  ///< null while building
-    bool building = false;
-  };
-
-  /// Evict least-recently-used entries until under budget. The freshly
-  /// touched `keep` key survives even when it alone exceeds the budget —
-  /// it is in active use by the caller.
-  void evict_over_budget_locked(const TraceKey& keep);
-  void touch_locked(const TraceKey& key);
+  /// Evict least-recently-used entries until the generated bytes fit the
+  /// budget. The most recent entry survives even when it alone exceeds
+  /// the budget — it is in active use by the caller.
+  void evict_over_budget_locked();
+  [[nodiscard]] std::size_t bytes_locked() const;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::map<TraceKey, Slot> slots_;
-  std::list<TraceKey> lru_;  ///< published entries, most recent first
+  /// Cached buffers, most recently acquired first. A grid touches tens to
+  /// a few hundred keys, and every acquire sums the entries' bytes anyway,
+  /// so a linear lookup costs nothing next to it.
+  std::list<std::shared_ptr<const MaterializedTrace>> lru_;
   std::size_t budget_bytes_;
-  std::size_t bytes_ = 0;  ///< cached (published) bytes
   TraceCacheStats stats_{};
 };
 

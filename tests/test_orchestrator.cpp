@@ -9,7 +9,9 @@
 // enforces for manual sharding, here surviving scheduling and retries.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cerrno>
+#include <csignal>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -365,6 +367,26 @@ TEST(Scheduler, HungWorkersAreKilledOnTimeoutAndCountAsFailures) {
   EXPECT_EQ(sweep.shards[0].attempts, 2);
   EXPECT_EQ(sweep.shards[0].error, "timeout");
   EXPECT_GE(launcher.kills(), 2);
+}
+
+TEST(Scheduler, StopSignalKillsEveryInFlightWorkerAndReportsTheSignal) {
+  const TempDir dir("dwarn_orch_stop");
+  const orch::DispatchPlan plan =
+      orch::make_dispatch_plan(fixture_request(3, 1, dir.path()));
+  StuckLauncher launcher;
+  std::atomic<int> stop{0};
+  orch::SchedulerOptions opt = test_sched(/*jobs=*/2, /*retries=*/1);
+  opt.stop_signal = &stop;
+  std::thread signaller([&] {
+    std::this_thread::sleep_for(20ms);
+    stop.store(SIGTERM);
+  });
+  const orch::SweepOutcome sweep = orch::Scheduler(launcher, opt).run(plan);
+  signaller.join();
+  EXPECT_FALSE(sweep.ok);
+  EXPECT_EQ(sweep.interrupted_by, SIGTERM);
+  EXPECT_EQ(launcher.kills(), 2);  // both in-flight jobs; shard 3 never started
+  EXPECT_EQ(sweep.shards[2].attempts, 0);
 }
 
 // ---- MergeStage hard failures ------------------------------------------------

@@ -48,8 +48,17 @@
 // --fault-driver-kill N SIGKILLs this driver after N shards complete,
 // exercising the resume path.
 //
+// Workers run in their own process groups, so a terminal's Ctrl-C or a
+// SIGTERM reaches only this driver. During a sweep it catches SIGINT and
+// SIGTERM, kills and reaps every in-flight worker group, journals the
+// interrupted shards as pending (resumable), and then dies by the same
+// signal.
+//
 // Exit codes: 0 ok, 1 sweep or merge failure, 2 usage or I/O error.
+#include <array>
+#include <atomic>
 #include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -151,6 +160,38 @@ struct Options {
   bool status_json = false;    ///< status --json
   bool status_follow = false;  ///< status --follow
   std::chrono::seconds status_timeout{0};  ///< --follow cap; 0 = none
+};
+
+/// The SIGINT/SIGTERM that interrupted the sweep, or 0. Written by the
+/// handler, polled by the scheduler's dispatch loop.
+std::atomic<int> g_stop_signal{0};
+static_assert(std::atomic<int>::is_always_lock_free, "signal handlers need lock-free atomics");
+
+extern "C" void record_stop_signal(int sig) { g_stop_signal.store(sig); }
+
+/// Routes SIGINT and SIGTERM into g_stop_signal while in scope, and
+/// restores the previous dispositions afterwards. A signal this process
+/// was started ignoring (SIGINT of a `cmd &` in a script) stays ignored.
+class StopSignalScope {
+ public:
+  StopSignalScope() {
+    struct sigaction sa {};
+    sa.sa_handler = record_stop_signal;
+    sigemptyset(&sa.sa_mask);
+    for (std::size_t i = 0; i < kSignals.size(); ++i) {
+      sigaction(kSignals[i], nullptr, &old_[i]);
+      if (old_[i].sa_handler != SIG_IGN) sigaction(kSignals[i], &sa, nullptr);
+    }
+  }
+  ~StopSignalScope() {
+    for (std::size_t i = 0; i < kSignals.size(); ++i) sigaction(kSignals[i], &old_[i], nullptr);
+  }
+  StopSignalScope(const StopSignalScope&) = delete;
+  StopSignalScope& operator=(const StopSignalScope&) = delete;
+
+ private:
+  static constexpr std::array<int, 2> kSignals{SIGINT, SIGTERM};
+  std::array<struct sigaction, 2> old_{};
 };
 
 /// The smt_shard binary next to this executable — the layout every CMake
@@ -330,9 +371,22 @@ int run_sweep(const Options& opt, const char* argv0) {
 
   orch::SweepOutcome sweep;
   {
+    const StopSignalScope stop_scope;
+    sched.stop_signal = &g_stop_signal;
     telem::PhaseSpan span("dispatch", "{\"shards\":" + std::to_string(plan.shards) + "}");
     sweep = orch::Scheduler(*launcher, sched)
                 .run(plan, seed ? &*seed : nullptr, &journal);
+  }
+  if (const int sig = g_stop_signal.load(); sig != 0) {
+    std::fprintf(stderr,
+                 "smt_orchestrate: interrupted by signal %d; in-flight workers killed "
+                 "(continue with `smt_orchestrate resume`)\n",
+                 sig);
+    finish(1);
+    // The previous disposition is back (normally the default): die by the
+    // signal, so the caller's wait status says what happened.
+    std::raise(sig);
+    return 128 + sig;
   }
   if (!sweep.ok) {
     for (const orch::ShardOutcome& s : sweep.shards) {
