@@ -67,10 +67,8 @@ std::vector<WorkloadSpec> named_workloads(std::initializer_list<std::string_view
 
 /// A baseline machine with the modeled instruction side: a 2-way,
 /// 64B-line, 1-cycle I-cache of `kb` KiB with next-line fetch-ahead, and
-/// `itlb`. Every imem field is set explicitly (not inherited from the
-/// preset) so registered grids are immune to ambient SMT_ICACHE*/
-/// SMT_ITLB* knobs — a sharded run merges bitwise only if every worker
-/// expanded the identical machine.
+/// `itlb`. Every imem field is set explicitly, so the machine's name
+/// spells out its whole instruction side.
 MachineSpec imem_machine(std::string name, std::uint64_t kb, std::size_t mshrs,
                          ITlbConfig itlb) {
   return machine_variant(std::move(name), [=](std::size_t n) {

@@ -1,8 +1,9 @@
-// Remote execution backend for the sweep orchestrator.
+// Remote placement for ProcessLauncher: the fleet spec and the command a
+// remote job runs.
 //
-// RemoteLauncher is a Launcher that dispatches `smt_shard run --shard K/N`
-// to a fleet of hosts instead of forking workers locally. The mechanism is
-// a per-job local exec process built from a pluggable *exec template*
+// With --backend remote, ProcessLauncher (launcher.hpp) places each unit
+// on a host of the fleet parsed from `--hosts user@host:slots,...` /
+// SMT_ORCH_HOSTS and runs it through a pluggable *exec template*
 // (default `ssh -o BatchMode=yes {host} {cmd}`; `docker exec`, `srun`, or
 // a fake-ssh test shim substitute cleanly), so the launcher itself never
 // hardcodes a transport. The remote command materializes its fragment in
@@ -10,31 +11,18 @@
 // captures them into `<fragment>.fetch.<job>` next to the merge directory
 // and renames atomically on success — retrieval rides the same connection
 // as execution, and a connection that dies mid-stream leaves only a temp
-// file the failure path unlinks, never a torn fragment.
-//
-// Host bookkeeping: each host has a slot count (how many units it runs
-// concurrently) parsed from `--hosts user@host:slots,...` /
-// SMT_ORCH_HOSTS. start() picks the least-loaded usable host; a failed
-// attempt records the host against its shard so the retry prefers a
-// *different* host, and a host that fails `fail_limit` consecutive execs
-// is quarantined (only used when every host is equally sick — a dead host
-// must not eat a shard's whole retry budget, but an all-degraded fleet
-// must not deadlock either). can_start() reports "no acceptable slot
-// right now" so the Scheduler waits for capacity instead of burning an
-// attempt — a dead host is just another preemption: its shards re-enter
-// the queue and re-dispatch to survivors, and because fragments and the
-// SWEEP_*.state.json journal live on the driver, `resume` works across
-// driver and host death alike.
+// file the failure path unlinks, never a torn fragment. A dead host is
+// just another preemption: its shards re-enter the queue and re-dispatch
+// to survivors, and because fragments and the SWEEP_*.state.json journal
+// live on the driver, `resume` works across driver and host death alike.
 //
 // Environment: ssh does not inherit the driver's environment the way
 // fork does, so every SMT_* variable of the driver plus the unit's env
 // overrides are re-exported inline in the remote command — the knobs
 // that shape result bytes (windows, seeds via argv, zero-wall) reach the
-// remote worker exactly as they reach a local subprocess.
+// remote worker exactly as they reach a local worker.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -43,16 +31,6 @@
 #include "orchestrator/launcher.hpp"
 
 namespace dwarn::orch {
-
-/// One remote execution slot pool: an opaque host token the exec template
-/// understands ("user@host" for ssh, a container name for docker exec, a
-/// node name for srun) plus how many units it may run concurrently.
-struct HostSpec {
-  std::string name;
-  std::size_t slots = 1;
-
-  friend bool operator==(const HostSpec&, const HostSpec&) = default;
-};
 
 /// Upper bound on slots per host — a typo like "host:0" or "host:1e9"
 /// must fail parsing, not starve or stampede a fleet.
@@ -65,22 +43,13 @@ inline constexpr std::size_t kMaxHostSlots = 4096;
 [[nodiscard]] std::optional<std::vector<HostSpec>> parse_hosts(std::string_view text,
                                                                std::string& error);
 
-/// A parsed exec template: whitespace-split argv whose tokens may embed
-/// the `{host}` and `{cmd}` placeholders. `{cmd}` expands to one shell
-/// snippet argument (run + fragment streaming), so any transport that
-/// hands its last argument to a remote/containered shell works:
+/// `{cmd}` expands to one shell snippet argument (run + fragment
+/// streaming), so any transport that hands its last argument to a
+/// remote/containered shell works:
 ///   ssh -o BatchMode=yes {host} {cmd}      (default)
 ///   docker exec {host} sh -c {cmd}
 ///   srun --nodes=1 --nodelist={host} sh -c {cmd}
 ///   /path/to/fake_ssh.sh {host} {cmd}      (tests)
-struct ExecTemplate {
-  std::vector<std::string> argv;
-
-  /// The template with every placeholder substituted.
-  [[nodiscard]] std::vector<std::string> expand(const std::string& host,
-                                                const std::string& cmd) const;
-};
-
 inline constexpr std::string_view kDefaultExecTemplate =
     "ssh -o BatchMode=yes {host} {cmd}";
 
@@ -99,62 +68,5 @@ inline constexpr std::string_view kDefaultExecTemplate =
 /// only fragment bytes come back). Exposed for tests and --dry-run.
 [[nodiscard]] std::string remote_command(const WorkUnit& unit,
                                          const std::string& remote_shard);
-
-/// Launcher over a host fleet via a pluggable exec transport.
-class RemoteLauncher final : public Launcher {
- public:
-  struct Options {
-    std::vector<HostSpec> hosts;
-    ExecTemplate exec;
-    std::string remote_shard;  ///< smt_shard path valid on every host
-    /// Consecutive exec failures before a host is quarantined
-    /// (SMT_ORCH_HOST_FAIL_LIMIT). A success resets the count.
-    int fail_limit = 2;
-  };
-
-  explicit RemoteLauncher(Options opt);
-  ~RemoteLauncher() override;  ///< kills and reaps any in-flight exec processes
-
-  [[nodiscard]] std::optional<JobId> start(const WorkUnit& unit) override;
-  [[nodiscard]] JobStatus poll(JobId id) override;
-  void kill(JobId id) override;
-  [[nodiscard]] std::string_view name() const override { return "remote"; }
-
-  /// True when an acceptable host has a free slot for this unit's shard
-  /// (the Scheduler waits instead of burning an attempt otherwise).
-  [[nodiscard]] bool can_start(const WorkUnit& unit) const override;
-  [[nodiscard]] std::string job_host(JobId id) const override;
-
-  [[nodiscard]] std::size_t total_slots() const;
-  /// Remote dispatch rides fork/exec of the local transport process.
-  [[nodiscard]] static bool supported();
-
- private:
-  struct Job {
-    std::int64_t pid = -1;
-    std::size_t host = 0;         ///< index into opt_.hosts
-    std::size_t shard = 0;        ///< unit's 1-based shard number
-    std::string fetch_path;       ///< local stdout capture (fragment bytes)
-    std::string fragment_path;    ///< rename target on success
-  };
-  struct HostHealth {
-    std::size_t busy = 0;          ///< slots in use
-    int consecutive_failures = 0;  ///< resets on any success
-  };
-
-  /// Least-loaded host with a free slot, skipping the shard's last failed
-  /// host and quarantined hosts while a healthier alternative exists (busy
-  /// or free — a busy healthy host is worth waiting for). nullopt = wait.
-  [[nodiscard]] std::optional<std::size_t> choose_host(std::size_t shard) const;
-  void release_slot(std::size_t host) {
-    if (health_[host].busy > 0) --health_[host].busy;
-  }
-
-  Options opt_;
-  std::vector<HostHealth> health_;  ///< parallel to opt_.hosts
-  std::map<std::size_t, std::size_t> last_failed_host_;  ///< shard → host index
-  std::map<JobId, Job> jobs_;  ///< in-flight attempts only
-  JobId next_id_ = 1;
-};
 
 }  // namespace dwarn::orch

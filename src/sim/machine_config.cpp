@@ -1,79 +1,6 @@
 #include "sim/machine_config.hpp"
 
-#include <cstdio>
-
-#include "common/env.hpp"
-
 namespace dwarn {
-
-namespace {
-
-bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
-
-/// The Cache constructor aborts (DWARN_CHECK) on impossible geometry; a
-/// typo'd sweep knob must warn and fall back instead.
-bool icache_geometry_ok(const ICacheConfig& c) {
-  if (!is_pow2(c.line_bytes)) return false;
-  if (c.size_bytes % c.line_bytes != 0) return false;
-  const std::uint64_t lines = c.size_bytes / c.line_bytes;
-  if (c.assoc == 0 || lines % c.assoc != 0) return false;
-  return is_pow2(lines / c.assoc);
-}
-
-}  // namespace
-
-void apply_imem_env(MemoryConfig& mem) {
-  if (const auto v = env_u64("SMT_ICACHE", 0, 1)) mem.icache.enabled = *v != 0;
-
-  const ICacheConfig icache_in = mem.icache;
-  if (const auto v = env_u64("SMT_ICACHE_KB", 1, 16384)) {
-    mem.icache.size_bytes = *v * 1024;
-  }
-  if (const auto v = env_u64("SMT_ICACHE_ASSOC", 1, 64)) {
-    mem.icache.assoc = static_cast<std::uint32_t>(*v);
-  }
-  if (const auto v = env_u64("SMT_ICACHE_LINE", 8, 1024)) {
-    mem.icache.line_bytes = static_cast<std::uint32_t>(*v);
-  }
-  if (const auto v = env_u64("SMT_ICACHE_LAT", 1, 1000)) mem.icache.hit_latency = *v;
-  if (const auto v = env_u64("SMT_ICACHE_PREFETCH", 0, 16)) {
-    mem.icache.prefetch_depth = static_cast<std::uint32_t>(*v);
-  }
-  if (const auto v = env_u64("SMT_ICACHE_MSHRS", 1, 256)) {
-    mem.icache.mshrs = static_cast<std::size_t>(*v);
-  }
-  if (!icache_geometry_ok(mem.icache)) {
-    std::fprintf(stderr,
-                 "[dwarn] warning: SMT_ICACHE_{KB,ASSOC,LINE} combination "
-                 "(%llu bytes / %u ways / %u-byte lines) is not a valid geometry; "
-                 "keeping the previous one\n",
-                 static_cast<unsigned long long>(mem.icache.size_bytes),
-                 mem.icache.assoc, mem.icache.line_bytes);
-    mem.icache.size_bytes = icache_in.size_bytes;
-    mem.icache.assoc = icache_in.assoc;
-    mem.icache.line_bytes = icache_in.line_bytes;
-  }
-
-  const ITlbConfig itlb_in = mem.itlb;
-  if (const auto v = env_u64("SMT_ITLB_ENTRIES", 1, 65536)) {
-    mem.itlb.entries = static_cast<std::uint32_t>(*v);
-  }
-  if (const auto v = env_u64("SMT_ITLB_ASSOC", 1, 64)) {
-    mem.itlb.assoc = static_cast<std::uint32_t>(*v);
-  }
-  if (const auto v = env_u64("SMT_ITLB_PAGE", 64, 1u << 30)) {
-    mem.itlb.page_bytes = static_cast<std::uint32_t>(*v);
-  }
-  if (const auto v = env_u64("SMT_ITLB_WALK", 0, 100000)) mem.itlb.walk_cycles = *v;
-  if (mem.itlb.entries % mem.itlb.assoc != 0) {
-    std::fprintf(stderr,
-                 "[dwarn] warning: SMT_ITLB_ENTRIES=%u not divisible by "
-                 "SMT_ITLB_ASSOC=%u; keeping the previous geometry\n",
-                 mem.itlb.entries, mem.itlb.assoc);
-    mem.itlb.entries = itlb_in.entries;
-    mem.itlb.assoc = itlb_in.assoc;
-  }
-}
 
 MachineConfig baseline_machine(std::size_t num_threads) {
   MachineConfig m;
@@ -81,7 +8,6 @@ MachineConfig baseline_machine(std::size_t num_threads) {
   m.core.num_threads = num_threads;
   // All other CoreConfig/MemoryConfig/BpredConfig defaults already encode
   // Table 3; keeping them there makes the defaults self-documenting.
-  apply_imem_env(m.mem);
   return m;
 }
 
@@ -97,7 +23,6 @@ MachineConfig small_machine(std::size_t num_threads) {
   m.core.fu_count = {3, 2, 2};
   m.core.pregs_int = 256;
   m.core.pregs_fp = 256;
-  apply_imem_env(m.mem);
   return m;
 }
 
@@ -111,7 +36,6 @@ MachineConfig deep_machine(std::size_t num_threads) {
   m.core.l1_detect_extra = 3;
   m.mem.l2_latency = 15;
   m.mem.mem_latency = 200;
-  apply_imem_env(m.mem);
   return m;
 }
 

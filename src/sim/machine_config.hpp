@@ -1,4 +1,7 @@
 // Machine presets: the three architectures of the paper's evaluation.
+// Presets read no environment, so a machine name fully determines its
+// MachineConfig; variants (the modeled instruction side, ablations) are
+// named machines of the grid registry.
 #pragma once
 
 #include "bpred/frontend_predictor.hpp"
@@ -25,22 +28,5 @@ struct MachineConfig {
 /// Paper §6 second variant: 16-stage pipe, 2.8 fetch, 64-entry issue
 /// queues, L1-miss detection +3 cycles, L1->L2 latency 15, memory 200.
 [[nodiscard]] MachineConfig deep_machine(std::size_t num_threads);
-
-/// Apply the SMT_ICACHE*/SMT_ITLB* environment knobs to `mem` (modeled
-/// instruction side; see docs/instruction_side.md):
-///   SMT_ICACHE          0/1 enable the modeled I-cache + I-TLB (default 0)
-///   SMT_ICACHE_KB       capacity in KiB           SMT_ICACHE_ASSOC  ways
-///   SMT_ICACHE_LINE     line bytes (pow2)         SMT_ICACHE_LAT    hit cycles
-///   SMT_ICACHE_PREFETCH next-line fetch-ahead depth (0 = off)
-///   SMT_ICACHE_MSHRS    in-flight I-miss capacity
-///   SMT_ITLB_ENTRIES / SMT_ITLB_ASSOC / SMT_ITLB_PAGE / SMT_ITLB_WALK
-/// Parsing is hardened like every other SMT_* knob (env_u64: warn + keep
-/// default on malformed or out-of-range values); a knob combination that
-/// yields an impossible geometry (non-pow2 sets, assoc not dividing the
-/// lines/entries) warns and reverts that structure's geometry to defaults
-/// instead of aborting mid-sweep. Every preset calls this; grid-registry
-/// machine variants overwrite the fields afterwards so registered grids
-/// stay environment-immune.
-void apply_imem_env(MemoryConfig& mem);
 
 }  // namespace dwarn

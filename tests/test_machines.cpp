@@ -3,9 +3,8 @@
 // qualitative relationships the paper's section 6 reports.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <optional>
 #include <string>
+#include <string_view>
 
 #include "sim/machine_config.hpp"
 #include "sim/simulator.hpp"
@@ -13,29 +12,6 @@
 
 namespace dwarn {
 namespace {
-
-/// Scoped environment override, restored on destruction (tests in this
-/// binary run sequentially, so no races).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (saved_) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
 
 RunLength tiny() {
   return RunLength{.warmup_insts = 4000, .measure_insts = 16000, .max_cycles = 4'000'000};
@@ -148,97 +124,6 @@ TEST(MachineShape, OneDotEightFetchMechanism) {
   const auto res = sim.run(tiny());
   EXPECT_GT(res.throughput, 0.2);
   EXPECT_TRUE(sim.core().check_invariants());
-}
-
-TEST(ImemEnv, ValidKnobsApplyToEveryPreset) {
-  ScopedEnv on("SMT_ICACHE", "1");
-  ScopedEnv kb("SMT_ICACHE_KB", "8");
-  ScopedEnv assoc("SMT_ICACHE_ASSOC", "4");
-  ScopedEnv line("SMT_ICACHE_LINE", "32");
-  ScopedEnv lat("SMT_ICACHE_LAT", "2");
-  ScopedEnv pf("SMT_ICACHE_PREFETCH", "3");
-  ScopedEnv mshrs("SMT_ICACHE_MSHRS", "16");
-  ScopedEnv entries("SMT_ITLB_ENTRIES", "16");
-  ScopedEnv tassoc("SMT_ITLB_ASSOC", "2");
-  ScopedEnv page("SMT_ITLB_PAGE", "4096");
-  ScopedEnv walk("SMT_ITLB_WALK", "55");
-  for (const MachineConfig& m :
-       {baseline_machine(2), small_machine(2), deep_machine(2)}) {
-    EXPECT_TRUE(m.mem.icache.enabled) << m.name;
-    EXPECT_EQ(m.mem.icache.size_bytes, 8u * 1024) << m.name;
-    EXPECT_EQ(m.mem.icache.assoc, 4u) << m.name;
-    EXPECT_EQ(m.mem.icache.line_bytes, 32u) << m.name;
-    EXPECT_EQ(m.mem.icache.hit_latency, 2u) << m.name;
-    EXPECT_EQ(m.mem.icache.prefetch_depth, 3u) << m.name;
-    EXPECT_EQ(m.mem.icache.mshrs, 16u) << m.name;
-    EXPECT_EQ(m.mem.itlb.entries, 16u) << m.name;
-    EXPECT_EQ(m.mem.itlb.assoc, 2u) << m.name;
-    EXPECT_EQ(m.mem.itlb.page_bytes, 4096u) << m.name;
-    EXPECT_EQ(m.mem.itlb.walk_cycles, 55u) << m.name;
-  }
-}
-
-TEST(ImemEnv, MalformedAndOutOfRangeValuesKeepDefaults) {
-  ScopedEnv on("SMT_ICACHE", "yes");          // not a number
-  ScopedEnv kb("SMT_ICACHE_KB", "999999");    // above range
-  ScopedEnv assoc("SMT_ICACHE_ASSOC", "0");   // below range
-  ScopedEnv lat("SMT_ICACHE_LAT", " 3");      // leading whitespace rejected
-  ScopedEnv pf("SMT_ICACHE_PREFETCH", "-1");  // sign rejected
-  ScopedEnv walk("SMT_ITLB_WALK", "12cycles");
-  const MachineConfig m = baseline_machine(2);
-  const ICacheConfig dflt_ic;
-  const ITlbConfig dflt_tlb;
-  EXPECT_FALSE(m.mem.icache.enabled);  // stays default-off
-  EXPECT_EQ(m.mem.icache.size_bytes, dflt_ic.size_bytes);
-  EXPECT_EQ(m.mem.icache.assoc, dflt_ic.assoc);
-  EXPECT_EQ(m.mem.icache.hit_latency, dflt_ic.hit_latency);
-  EXPECT_EQ(m.mem.icache.prefetch_depth, dflt_ic.prefetch_depth);
-  EXPECT_EQ(m.mem.itlb.walk_cycles, dflt_tlb.walk_cycles);
-}
-
-TEST(ImemEnv, InvalidCacheGeometryRevertsWholeGeometry) {
-  // 8KB with 3-byte lines: line size is not a power of two, so the KB
-  // knob must also revert (partial application would abort in Cache).
-  ScopedEnv kb("SMT_ICACHE_KB", "8");
-  ScopedEnv line("SMT_ICACHE_LINE", "96");  // in range but not pow2
-  const MachineConfig m = baseline_machine(2);
-  const ICacheConfig dflt;
-  EXPECT_EQ(m.mem.icache.size_bytes, dflt.size_bytes);
-  EXPECT_EQ(m.mem.icache.assoc, dflt.assoc);
-  EXPECT_EQ(m.mem.icache.line_bytes, dflt.line_bytes);
-}
-
-TEST(ImemEnv, NonPow2SetCountReverts) {
-  // 12KB / 64B lines / 2 ways = 96 sets: not a power of two.
-  ScopedEnv kb("SMT_ICACHE_KB", "12");
-  const MachineConfig m = baseline_machine(2);
-  EXPECT_EQ(m.mem.icache.size_bytes, ICacheConfig{}.size_bytes);
-}
-
-TEST(ImemEnv, ItlbDivisibilityReverts) {
-  ScopedEnv entries("SMT_ITLB_ENTRIES", "10");
-  ScopedEnv assoc("SMT_ITLB_ASSOC", "4");  // 10 % 4 != 0
-  const MachineConfig m = baseline_machine(2);
-  const ITlbConfig dflt;
-  EXPECT_EQ(m.mem.itlb.entries, dflt.entries);
-  EXPECT_EQ(m.mem.itlb.assoc, dflt.assoc);
-}
-
-TEST(ImemEnv, EnabledEnvMachineRunsAndReportsPressure) {
-  ScopedEnv on("SMT_ICACHE", "1");
-  ScopedEnv kb("SMT_ICACHE_KB", "4");
-  ScopedEnv entries("SMT_ITLB_ENTRIES", "2");
-  ScopedEnv assoc("SMT_ITLB_ASSOC", "1");
-  ScopedEnv page("SMT_ITLB_PAGE", "4096");
-  const MachineConfig m = baseline_machine(2);
-  ASSERT_TRUE(m.mem.icache.enabled);
-  RunLength len;
-  len.warmup_insts = 500;
-  len.measure_insts = 2000;
-  const SimResult res = run_simulation(m, workload_by_name("2-MIX"),
-                                       PolicyKind::ICount, len);
-  EXPECT_GT(res.imiss_per_kinst, 0.0);
-  EXPECT_GT(res.itlb_miss_per_kinst, 0.0);
 }
 
 }  // namespace

@@ -28,15 +28,14 @@
 #include "orchestrator/job_tracker.hpp"
 #include "orchestrator/launcher.hpp"
 #include "orchestrator/merge_stage.hpp"
+#include "orchestrator/remote_launcher.hpp"
 #include "orchestrator/scheduler.hpp"
 #include "orchestrator/sweep_state.hpp"
 #include "orchestrator/work_unit.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 #ifdef __linux__
 #include <sys/prctl.h>
 #endif
@@ -712,7 +711,6 @@ TEST(InProcessLauncher, TerminalJobsAreErasedOnTheReportingPoll) {
 }
 
 TEST(SubprocessLauncher, DelayedFaultArmsInsteadOfSleepingInStart) {
-  if (!orch::SubprocessLauncher::supported()) GTEST_SKIP();
   const TempDir dir("dwarn_orch_armed");
   orch::DispatchPlan plan = orch::make_dispatch_plan(fixture_request(1, 1, dir.path()));
   orch::WorkUnit unit = plan.units[0];
@@ -721,12 +719,16 @@ TEST(SubprocessLauncher, DelayedFaultArmsInsteadOfSleepingInStart) {
   // A huge delay with a trivially fast binary: start() must return
   // immediately (it arms a deadline, it does not sleep), and the worker
   // finishes long before the armed kill could fire.
-  orch::SubprocessLauncher launcher("/bin/true", /*fault_delay_ms=*/60'000);
+  orch::ProcessLauncher launcher(
+      orch::ProcessLauncher::local("/bin/true", 1, /*fault_delay_ms=*/60'000));
   const auto t0 = std::chrono::steady_clock::now();
   const auto id = launcher.start(unit);
   const auto elapsed = std::chrono::steady_clock::now() - t0;
   ASSERT_TRUE(id.has_value());
   EXPECT_LT(elapsed, 5s);  // generous vs the 60 s a sleeping start would take
+  // A local job has no host: local journals and status --json stay free
+  // of the remote-only "hosts" attribution.
+  EXPECT_EQ(launcher.job_host(*id), "");
 
   orch::JobStatus status;
   do {
@@ -735,8 +737,6 @@ TEST(SubprocessLauncher, DelayedFaultArmsInsteadOfSleepingInStart) {
   EXPECT_EQ(status.state, orch::JobStatus::State::Succeeded) << status.detail;
   EXPECT_NE(launcher.poll(*id).detail.find("unknown job id"), std::string::npos);
 }
-
-#if defined(__unix__) || defined(__APPLE__)
 
 /// Makes this process the reaper of orphaned descendants for its
 /// lifetime (Linux), so a killed grandchild is reaped here instead of
@@ -771,53 +771,62 @@ bool gone_within(pid_t pid, std::chrono::milliseconds limit) {
 }
 
 TEST(SubprocessLauncher, ArmedFaultDeadlineFiresAtPollAndKillsTheWorkerGroup) {
-  if (!orch::SubprocessLauncher::supported()) GTEST_SKIP();
   const ScopedSubreaper subreaper;
-  const TempDir dir("dwarn_orch_armfire");
-  // A "worker" guaranteed to outlive the deadline, so the kill is what
-  // ends it — deterministic, unlike racing a real shard against a delay.
-  // It records its own child's pid: the kill must take that grandchild
-  // down too, or it lives on holding the worker's output pipe.
-  const std::string script = dir.path() + "/slow_worker.sh";
-  const std::string pid_file = dir.path() + "/grandchild.pid";
-  {
-    std::ofstream out(script);
-    out << "#!/bin/sh\nsleep 30 &\necho $! > " << pid_file << ".tmp\nmv " << pid_file
-        << ".tmp " << pid_file << "\nwait\n";
+  // The armed fault is one path for both placements: the script is the
+  // local worker binary, or the remote transport.
+  for (const bool remote : {false, true}) {
+    SCOPED_TRACE(remote ? "remote placement" : "local placement");
+    const TempDir dir("dwarn_orch_armfire");
+    // A "worker" guaranteed to outlive the deadline, so the kill is what
+    // ends it — deterministic, unlike racing a real shard against a delay.
+    // It records its own child's pid: the kill must take that grandchild
+    // down too, or it lives on holding the worker's output pipe.
+    const std::string script = dir.path() + "/slow_worker.sh";
+    const std::string pid_file = dir.path() + "/grandchild.pid";
+    {
+      std::ofstream out(script);
+      out << "#!/bin/sh\nsleep 30 &\necho $! > " << pid_file << ".tmp\nmv " << pid_file
+          << ".tmp " << pid_file << "\nwait\n";
+    }
+    std::filesystem::permissions(script, std::filesystem::perms::owner_all);
+
+    orch::DispatchPlan plan = orch::make_dispatch_plan(fixture_request(1, 1, dir.path()));
+    orch::WorkUnit unit = plan.units[0];
+    unit.inject_fault = true;
+
+    orch::ProcessLauncher::Options opt =
+        orch::ProcessLauncher::local(script, 1, /*fault_delay_ms=*/20);
+    if (remote) {
+      std::string error;
+      opt.hosts = *orch::parse_hosts("alpha", error);
+      opt.exec = orch::parse_exec_template(script + " {host} {cmd}", error);
+    }
+    orch::ProcessLauncher launcher(std::move(opt));
+    const auto id = launcher.start(unit);
+    ASSERT_TRUE(id.has_value());
+    // The deadline only fires at poll time, so the worker runs until the
+    // grandchild's pid is on disk.
+    const auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (!std::filesystem::exists(pid_file)) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "worker never started";
+      std::this_thread::sleep_for(5ms);
+    }
+    const pid_t grandchild = static_cast<pid_t>(std::stol(read_file(pid_file)));
+    ASSERT_GT(grandchild, 0);
+
+    orch::JobStatus status;
+    do {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "armed kill never fired";
+      std::this_thread::sleep_for(5ms);
+      status = launcher.poll(*id);
+    } while (status.state == orch::JobStatus::State::Running);
+    EXPECT_EQ(status.state, orch::JobStatus::State::Failed);
+    EXPECT_NE(status.detail.find("killed by signal"), std::string::npos) << status.detail;
+    const bool reaped = gone_within(grandchild, 2s);
+    if (!reaped) ::kill(grandchild, SIGKILL);  // don't leak it past a failure
+    EXPECT_TRUE(reaped) << "the worker's child " << grandchild << " outlived the kill";
   }
-  std::filesystem::permissions(script, std::filesystem::perms::owner_all);
-
-  orch::DispatchPlan plan = orch::make_dispatch_plan(fixture_request(1, 1, dir.path()));
-  orch::WorkUnit unit = plan.units[0];
-  unit.inject_fault = true;
-
-  orch::SubprocessLauncher launcher(script, /*fault_delay_ms=*/20);
-  const auto id = launcher.start(unit);
-  ASSERT_TRUE(id.has_value());
-  // The deadline only fires at poll time, so the worker runs until the
-  // grandchild's pid is on disk.
-  const auto deadline = std::chrono::steady_clock::now() + 10s;
-  while (!std::filesystem::exists(pid_file)) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "worker never started";
-    std::this_thread::sleep_for(5ms);
-  }
-  const pid_t grandchild = static_cast<pid_t>(std::stol(read_file(pid_file)));
-  ASSERT_GT(grandchild, 0);
-
-  orch::JobStatus status;
-  do {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "armed kill never fired";
-    std::this_thread::sleep_for(5ms);
-    status = launcher.poll(*id);
-  } while (status.state == orch::JobStatus::State::Running);
-  EXPECT_EQ(status.state, orch::JobStatus::State::Failed);
-  EXPECT_NE(status.detail.find("killed by signal"), std::string::npos) << status.detail;
-  const bool reaped = gone_within(grandchild, 2s);
-  if (!reaped) ::kill(grandchild, SIGKILL);  // don't leak it past a failure
-  EXPECT_TRUE(reaped) << "the worker's child " << grandchild << " outlived the kill";
 }
-
-#endif  // unix
 
 }  // namespace
 }  // namespace dwarn

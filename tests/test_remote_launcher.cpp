@@ -1,11 +1,11 @@
-// Unit tests: the remote execution backend — hostfile and exec-template
-// parsing hardening (bad slot counts, empty lists, missing placeholders),
-// template substitution, the remote command's inline env re-export, and
-// RemoteLauncher's process mechanics against stub transport scripts:
+// Unit tests: the remote placement — hostfile and exec-template parsing
+// hardening (bad slot counts, empty lists, missing placeholders), template
+// substitution, the remote command's inline env re-export, and
+// ProcessLauncher's remote mechanics against stub transport scripts:
 // fragment retrieval + atomic placement, failure attribution to the host,
-// slot accounting behind can_start(), killing the transport's whole
-// process group, retry steering away from a shard's last failed host, and
-// quarantine that can never deadlock the fleet.
+// slot accounting behind can_start(), killing the whole process group (at
+// both placements), retry steering away from a shard's last failed host,
+// and quarantine that can never deadlock the fleet.
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -76,22 +76,22 @@ orch::WorkUnit test_unit(const TempDir& dir, std::size_t k, std::size_t n) {
   return unit;
 }
 
-orch::RemoteLauncher::Options remote_options(const std::string& hosts_text,
-                                             const std::string& stub) {
+orch::ProcessLauncher::Options remote_options(const std::string& hosts_text,
+                                              const std::string& stub) {
   std::string error;
   const auto hosts = orch::parse_hosts(hosts_text, error);
   EXPECT_TRUE(hosts) << error;
   const auto tmpl = orch::parse_exec_template(stub + " {host} {cmd}", error);
   EXPECT_TRUE(tmpl) << error;
-  orch::RemoteLauncher::Options opt;
+  orch::ProcessLauncher::Options opt;
   opt.hosts = *hosts;
   opt.exec = *tmpl;
-  opt.remote_shard = "/nonexistent/smt_shard";  // stubs never run it
+  opt.shard_binary = "/nonexistent/smt_shard";  // stubs never run it
   return opt;
 }
 
 /// Poll until terminal (the stub transports exit quickly).
-orch::JobStatus poll_to_terminal(orch::RemoteLauncher& launcher, orch::JobId id) {
+orch::JobStatus poll_to_terminal(orch::ProcessLauncher& launcher, orch::JobId id) {
   for (int i = 0; i < 5000; ++i) {
     const orch::JobStatus status = launcher.poll(id);
     if (status.state != orch::JobStatus::State::Running) return status;
@@ -208,16 +208,15 @@ TEST(RemoteCommand, ReexportsUnitEnvAndStreamsTheFragment) {
   EXPECT_EQ(cmd.find(dir.path()), std::string::npos) << cmd;
 }
 
-// ---- RemoteLauncher mechanics ------------------------------------------------
+// ---- ProcessLauncher, remote placement --------------------------------------
 
 TEST(RemoteLauncher, RetrievesFragmentBytesAndPlacesThemAtomically) {
-  if (!orch::RemoteLauncher::supported()) GTEST_SKIP() << "no fork/exec";
   TempDir dir("dwarn_remote_ok_test");
   // The stub ignores the command and streams payload bytes like a remote
   // `cat` of the fragment would.
   const std::string stub =
       write_stub(dir, "transport_ok.sh", "printf 'payload-from-%s' \"$1\"");
-  orch::RemoteLauncher launcher(remote_options("alpha", stub));
+  orch::ProcessLauncher launcher(remote_options("alpha", stub));
 
   const orch::WorkUnit unit = test_unit(dir, 1, 2);
   const auto id = launcher.start(unit);
@@ -237,10 +236,9 @@ TEST(RemoteLauncher, RetrievesFragmentBytesAndPlacesThemAtomically) {
 }
 
 TEST(RemoteLauncher, FailureNamesTheHostAndCleansTheFetchTemp) {
-  if (!orch::RemoteLauncher::supported()) GTEST_SKIP() << "no fork/exec";
   TempDir dir("dwarn_remote_fail_test");
   const std::string stub = write_stub(dir, "transport_fail.sh", "exit 7");
-  orch::RemoteLauncher launcher(remote_options("beta", stub));
+  orch::ProcessLauncher launcher(remote_options("beta", stub));
 
   const orch::WorkUnit unit = test_unit(dir, 1, 2);
   const auto id = launcher.start(unit);
@@ -253,10 +251,9 @@ TEST(RemoteLauncher, FailureNamesTheHostAndCleansTheFetchTemp) {
 }
 
 TEST(RemoteLauncher, EmptyRetrievalIsAFailureNotAnEmptyFragment) {
-  if (!orch::RemoteLauncher::supported()) GTEST_SKIP() << "no fork/exec";
   TempDir dir("dwarn_remote_empty_test");
   const std::string stub = write_stub(dir, "transport_empty.sh", "exit 0");
-  orch::RemoteLauncher launcher(remote_options("gamma", stub));
+  orch::ProcessLauncher launcher(remote_options("gamma", stub));
 
   const auto id = launcher.start(test_unit(dir, 1, 2));
   ASSERT_TRUE(id);
@@ -267,12 +264,11 @@ TEST(RemoteLauncher, EmptyRetrievalIsAFailureNotAnEmptyFragment) {
 }
 
 TEST(RemoteLauncher, SlotAccountingGatesCanStartAndKillReleasesTheSlot) {
-  if (!orch::RemoteLauncher::supported()) GTEST_SKIP() << "no fork/exec";
   TempDir dir("dwarn_remote_slots_test");
   // exec: the transport process IS the sleeper, so the launcher's SIGKILL
   // leaves no orphan holding inherited pipes open past the test.
   const std::string stub = write_stub(dir, "transport_slow.sh", "exec sleep 30");
-  orch::RemoteLauncher launcher(remote_options("alpha:2", stub));
+  orch::ProcessLauncher launcher(remote_options("alpha:2", stub));
   EXPECT_EQ(launcher.total_slots(), 2u);
 
   const orch::WorkUnit u1 = test_unit(dir, 1, 3);
@@ -292,52 +288,59 @@ TEST(RemoteLauncher, SlotAccountingGatesCanStartAndKillReleasesTheSlot) {
 }
 
 TEST(RemoteLauncher, KillTakesTheTransportsChildrenDown) {
-  if (!orch::RemoteLauncher::supported()) GTEST_SKIP() << "no fork/exec";
 #ifdef __linux__
   // Orphans reparent to this process, so the killed grandchild is reaped
   // here rather than lingering as a zombie.
   prctl(PR_SET_CHILD_SUBREAPER, 1);
 #endif
-  TempDir dir("dwarn_remote_group_kill_test");
-  // A transport that forks (no exec) and records its child's pid, like an
-  // ssh client or a shim that runs the remote command as a subprocess.
-  const std::string pid_file = dir.path() + "/grandchild.pid";
-  const std::string stub = write_stub(
-      dir, "transport_forks.sh",
-      "sleep 30 &\necho $! > " + pid_file + ".tmp\nmv " + pid_file + ".tmp " + pid_file +
-          "\nwait");
-  orch::RemoteLauncher launcher(remote_options("alpha", stub));
-  const auto id = launcher.start(test_unit(dir, 1, 1));
-  ASSERT_TRUE(id);
-  for (int i = 0; i < 2000 && !std::filesystem::exists(pid_file); ++i) {
-    std::this_thread::sleep_for(5ms);
-  }
-  ASSERT_TRUE(std::filesystem::exists(pid_file)) << "transport never started";
-  const pid_t grandchild = static_cast<pid_t>(std::stol(read_file(pid_file)));
-  ASSERT_GT(grandchild, 0);
+  // The same group kill serves both placements: the stub is the remote
+  // transport, or the local worker binary itself.
+  for (const bool remote : {true, false}) {
+    SCOPED_TRACE(remote ? "remote placement" : "local placement");
+    TempDir dir("dwarn_remote_group_kill_test");
+    // A transport that forks (no exec) and records its child's pid, like an
+    // ssh client or a shim that runs the remote command as a subprocess.
+    const std::string pid_file = dir.path() + "/grandchild.pid";
+    const std::string stub = write_stub(
+        dir, "transport_forks.sh",
+        "sleep 30 &\necho $! > " + pid_file + ".tmp\nmv " + pid_file + ".tmp " +
+            pid_file + "\nwait");
+    orch::ProcessLauncher launcher(remote ? remote_options("alpha", stub)
+                                          : orch::ProcessLauncher::local(stub, 1));
+    const auto id = launcher.start(test_unit(dir, 1, 1));
+    ASSERT_TRUE(id);
+    // Local jobs carry no host, so local journals never gain a hosts field.
+    EXPECT_EQ(launcher.job_host(*id), remote ? "alpha" : "");
+    for (int i = 0; i < 2000 && !std::filesystem::exists(pid_file); ++i) {
+      std::this_thread::sleep_for(5ms);
+    }
+    ASSERT_TRUE(std::filesystem::exists(pid_file)) << "transport never started";
+    const pid_t grandchild = static_cast<pid_t>(std::stol(read_file(pid_file)));
+    ASSERT_GT(grandchild, 0);
 
-  launcher.kill(*id);
-  bool gone = false;
-  for (int i = 0; i < 400 && !gone; ++i) {
-    int status = 0;
-    (void)waitpid(grandchild, &status, WNOHANG);
-    gone = ::kill(grandchild, 0) != 0 && errno == ESRCH;
-    if (!gone) std::this_thread::sleep_for(5ms);
+    launcher.kill(*id);
+    bool gone = false;
+    for (int i = 0; i < 400 && !gone; ++i) {
+      int status = 0;
+      (void)waitpid(grandchild, &status, WNOHANG);
+      gone = ::kill(grandchild, 0) != 0 && errno == ESRCH;
+      if (!gone) std::this_thread::sleep_for(5ms);
+    }
+    if (!gone) ::kill(grandchild, SIGKILL);  // don't leak it past a failure
+    EXPECT_TRUE(gone) << "the transport's child " << grandchild << " outlived the kill";
+    EXPECT_TRUE(launcher.can_start(test_unit(dir, 1, 1)));  // the kill freed the slot
   }
-  if (!gone) ::kill(grandchild, SIGKILL);  // don't leak it past a failure
 #ifdef __linux__
   prctl(PR_SET_CHILD_SUBREAPER, 0);
 #endif
-  EXPECT_TRUE(gone) << "the transport's child " << grandchild << " outlived the kill";
 }
 
 TEST(RemoteLauncher, RetryPrefersADifferentHostThanTheLastFailure) {
-  if (!orch::RemoteLauncher::supported()) GTEST_SKIP() << "no fork/exec";
   TempDir dir("dwarn_remote_steer_test");
   const std::string stub = write_stub(dir, "transport_fail.sh", "exit 1");
-  orch::RemoteLauncher::Options opt = remote_options("alpha,beta", stub);
+  orch::ProcessLauncher::Options opt = remote_options("alpha,beta", stub);
   opt.fail_limit = 100;  // isolate last-failed steering from quarantine
-  orch::RemoteLauncher launcher(std::move(opt));
+  orch::ProcessLauncher launcher(std::move(opt));
 
   const orch::WorkUnit unit = test_unit(dir, 1, 2);
   std::string first_host;
@@ -355,12 +358,11 @@ TEST(RemoteLauncher, RetryPrefersADifferentHostThanTheLastFailure) {
 }
 
 TEST(RemoteLauncher, QuarantineNeverDeadlocksAnAllSickFleet) {
-  if (!orch::RemoteLauncher::supported()) GTEST_SKIP() << "no fork/exec";
   TempDir dir("dwarn_remote_quarantine_test");
   const std::string stub = write_stub(dir, "transport_fail.sh", "exit 1");
-  orch::RemoteLauncher::Options opt = remote_options("alpha", stub);
+  orch::ProcessLauncher::Options opt = remote_options("alpha", stub);
   opt.fail_limit = 1;
-  orch::RemoteLauncher launcher(std::move(opt));
+  orch::ProcessLauncher launcher(std::move(opt));
 
   const orch::WorkUnit unit = test_unit(dir, 1, 1);
   const auto id = launcher.start(unit);

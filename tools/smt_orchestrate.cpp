@@ -215,7 +215,7 @@ int run_sweep(const Options& opt, const char* argv0) {
   // The remote fleet is parsed before planning: its slot counts bound the
   // in-flight jobs, and the per-worker env split divides per *host* (a
   // host runs at most its own slots concurrently), not across the fleet.
-  std::optional<orch::RemoteLauncher::Options> remote;
+  orch::ProcessLauncher::Options procs;
   if (opt.backend == "remote") {
     std::string err;
     const auto hosts = orch::parse_hosts(opt.hosts_text, err);
@@ -226,22 +226,20 @@ int run_sweep(const Options& opt, const char* argv0) {
     const std::string tmpl_text = opt.exec_template_text.empty()
                                       ? std::string(orch::kDefaultExecTemplate)
                                       : opt.exec_template_text;
-    const auto tmpl = orch::parse_exec_template(tmpl_text, err);
-    if (!tmpl) {
+    procs.exec = orch::parse_exec_template(tmpl_text, err);
+    if (!procs.exec) {
       std::fprintf(stderr, "smt_orchestrate: --exec-template/SMT_ORCH_EXEC_TEMPLATE: %s\n",
                    err.c_str());
       return 2;
     }
-    remote.emplace();
-    remote->hosts = *hosts;
-    remote->exec = *tmpl;
-    remote->remote_shard = opt.remote_shard.empty() ? smt_shard : opt.remote_shard;
-    remote->fail_limit =
+    procs.hosts = *hosts;
+    procs.shard_binary = opt.remote_shard.empty() ? smt_shard : opt.remote_shard;
+    procs.fail_limit =
         static_cast<int>(env_u64("SMT_ORCH_HOST_FAIL_LIMIT", 1, 1000).value_or(2));
 
     std::size_t total_slots = 0;
     std::size_t widest_host = 1;
-    for (const orch::HostSpec& h : remote->hosts) {
+    for (const orch::HostSpec& h : procs.hosts) {
       total_slots += h.slots;
       widest_host = std::max(widest_host, h.slots);
     }
@@ -304,21 +302,10 @@ int run_sweep(const Options& opt, const char* argv0) {
     state = orch::make_initial_state(plan);
   }
   std::unique_ptr<orch::Launcher> launcher;
-  if (opt.backend == "remote") {
-    if (!orch::RemoteLauncher::supported()) {
-      std::fprintf(stderr,
-                   "smt_orchestrate: no fork/exec on this platform; "
-                   "--backend remote is unavailable\n");
-      return 2;
-    }
-    launcher = std::make_unique<orch::RemoteLauncher>(std::move(*remote));
-  } else if (opt.backend == "subprocess") {
-    if (!orch::SubprocessLauncher::supported()) {
-      std::fprintf(stderr,
-                   "smt_orchestrate: no fork/exec on this platform; "
-                   "falling back to --backend thread\n");
-      launcher = std::make_unique<orch::InProcessLauncher>();
-    } else {
+  if (opt.backend == "thread") {
+    launcher = std::make_unique<orch::InProcessLauncher>();
+  } else {
+    if (opt.backend == "subprocess") {
       std::error_code ec;
       if (!std::filesystem::exists(smt_shard, ec)) {
         std::fprintf(stderr,
@@ -327,12 +314,10 @@ int run_sweep(const Options& opt, const char* argv0) {
                      smt_shard.c_str());
         return 2;
       }
-      const std::size_t fault_delay =
-          env_u64("SMT_ORCH_FAULT_DELAY_MS", 0, 60'000).value_or(0);
-      launcher = std::make_unique<orch::SubprocessLauncher>(smt_shard, fault_delay);
+      procs = orch::ProcessLauncher::local(smt_shard, sched.jobs);
     }
-  } else {
-    launcher = std::make_unique<orch::InProcessLauncher>();
+    procs.fault_delay_ms = env_u64("SMT_ORCH_FAULT_DELAY_MS", 0, 60'000).value_or(0);
+    launcher = std::make_unique<orch::ProcessLauncher>(std::move(procs));
   }
 
   // The journal records which backend drove the sweep — informational,
