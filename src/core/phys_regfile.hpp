@@ -47,9 +47,13 @@ class PhysRegFile {
     ready_at_[reg] = cycle;
   }
 
-  [[nodiscard]] bool ready(std::uint16_t reg, Cycle now) const {
+  /// Stable address of `reg`'s ready cycle. The array is sized once at
+  /// construction, so the pointer stays valid for the file's lifetime and
+  /// always reads the register's current readiness (issue-queue entries
+  /// hold these instead of register indices).
+  [[nodiscard]] const Cycle* ready_slot(std::uint16_t reg) const {
     DWARN_CHECK(reg < ready_at_.size());
-    return ready_at_[reg] <= now;
+    return &ready_at_[reg];
   }
 
   [[nodiscard]] std::size_t num_free() const { return free_list_.size(); }

@@ -62,6 +62,16 @@ class Ring {
     return slot;
   }
 
+  /// Append a value-initialized element in place and return it; callers
+  /// fill the slot directly instead of building a temporary to move in.
+  T& emplace_back() {
+    if (size_ == slots_.size()) grow();
+    T& slot = slots_[(head_pos_ + size_) & mask_];
+    slot = T{};
+    ++size_;
+    return slot;
+  }
+
   void pop_front() {
     DWARN_CHECK(size_ > 0);
     ++head_pos_;

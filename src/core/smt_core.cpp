@@ -1,5 +1,8 @@
 #include "core/smt_core.hpp"
 
+#include <algorithm>
+#include <cstddef>
+
 #include "telemetry/counter_sampler.hpp"
 
 namespace dwarn {
@@ -200,16 +203,6 @@ DynInst* SmtCore::find(ThreadId tid, std::uint64_t dyn_id) {
   return &w[lo];
 }
 
-bool SmtCore::sources_ready(const DynInst& d) const {
-  if (d.src_phys0 != kNoReg &&
-      !regfile(d.ti.src_class[0]).ready(d.src_phys0, now_))
-    return false;
-  if (d.src_phys1 != kNoReg &&
-      !regfile(d.ti.src_class[1]).ready(d.src_phys1, now_))
-    return false;
-  return true;
-}
-
 void SmtCore::sample_occupancy() {
   for (std::size_t c = 0; c < kNumIssueClasses; ++c) {
     occ_iq_[c]->sample(iqs_[c].size());
@@ -220,9 +213,10 @@ void SmtCore::sample_occupancy() {
 void SmtCore::do_commit() {
   unsigned budget = cfg_.commit_width;
   const std::size_t n = threads_.size();
+  auto tid = static_cast<ThreadId>(commit_rr_);
   for (std::size_t k = 0; k < n && budget > 0; ++k) {
-    const ThreadId tid = static_cast<ThreadId>((commit_rr_ + k) % n);
     ThreadCtx& ctx = threads_[tid];
+    InstSeq retire_to = 0;  // one past the last committed trace_seq
     while (budget > 0 && !ctx.window.empty()) {
       DynInst& d = ctx.window.front();
       if (d.state != InstState::Issued || d.complete_at > now_) break;
@@ -241,7 +235,7 @@ void SmtCore::do_commit() {
         if (d.l1_miss) cload_l1_misses_.add();
         if (d.l2_miss) cload_l2_misses_.add();
       }
-      ctx.stream->retire_below(d.trace_seq + 1);
+      retire_to = d.trace_seq + 1;
       committed_total_.add();
       committed_tid_[tid]->add();
       DWARN_CHECK(ctx.rename_idx > 0);
@@ -251,8 +245,12 @@ void SmtCore::do_commit() {
       ctx.window.pop_front();
       --budget;
     }
+    // retire_below is monotone, so one call with the highest sequence
+    // equals one call per committed instruction.
+    if (retire_to != 0) ctx.stream->retire_below(retire_to);
+    if (++tid == n) tid = 0;
   }
-  commit_rr_ = (commit_rr_ + 1) % n;
+  if (++commit_rr_ == n) commit_rr_ = 0;
 }
 
 void SmtCore::issue_one(DynInst& d) {
@@ -333,27 +331,27 @@ void SmtCore::do_issue() {
     auto& q = iqs_[c];
     unsigned fu = cfg_.fu_count[c];
     if (q.empty()) continue;
-    // In-place compaction: issued entries drop out, waiting entries slide
-    // forward in order (same result as the old keep-vector swap, without
-    // the per-cycle allocation).
+    // Oldest-first select with in-place compaction: issued entries drop
+    // out, waiting entries slide forward in order. Once the budget or the
+    // class's FUs run out, the unscanned tail moves down in one erase.
     std::size_t kept = 0;
-    for (std::size_t r = 0; r < q.size(); ++r) {
-      const QEntry e = q[r];
-      if (budget != 0 && fu != 0) {
-        DynInst* d = find_at(e.tid, e.dyn_id, e.wpos);
-        DWARN_CHECK(d != nullptr && d->state == InstState::InQueue);
-        if (sources_ready(*d)) {
-          issue_one(*d);
-          DWARN_CHECK(threads_[e.tid].icount > 0);
-          --threads_[e.tid].icount;
-          --budget;
-          --fu;
-          continue;
-        }
+    std::size_t r = 0;
+    for (; r < q.size() && budget != 0 && fu != 0; ++r) {
+      const IqEntry e = q[r];
+      DynInst* d = find_at(e.tid, e.dyn_id, e.wpos);
+      DWARN_CHECK(d != nullptr && d->state == InstState::InQueue);
+      if (std::max(*e.src0, *e.src1) <= now_) {
+        issue_one(*d);
+        DWARN_CHECK(threads_[e.tid].icount > 0);
+        --threads_[e.tid].icount;
+        --budget;
+        --fu;
+        continue;
       }
       q[kept++] = e;
     }
-    q.resize(kept);
+    q.erase(q.begin() + static_cast<std::ptrdiff_t>(kept),
+            q.begin() + static_cast<std::ptrdiff_t>(r));
   }
 }
 
@@ -401,7 +399,9 @@ void SmtCore::do_rename() {
       d->old_phys = ctx.rmap.set(d->ti.dest_class, d->ti.dest_reg, dest);
     }
     d->state = InstState::InQueue;
-    iqs_[qc].push_back(QEntry{e.tid, d->dyn_id, d->wpos});
+    iqs_[qc].push_back(IqEntry{src_ready_slot(d->ti.src_class[0], d->src_phys0),
+                               src_ready_slot(d->ti.src_class[1], d->src_phys1),
+                               d->dyn_id, d->wpos, e.tid});
     ++ctx.rename_idx;
     ++ctx.renamed_in_flight;
     DWARN_CHECK(frontend_live_ > 0);
@@ -458,11 +458,13 @@ void SmtCore::fetch_from_thread(ThreadId tid, unsigned& budget) {
       }
     }
 
-    DynInst d;
+    // Filled in its window slot; nothing below reads the window, so
+    // appending before the trace and predictor calls changes nothing.
+    DynInst& d = ctx.window.emplace_back();
     d.tid = tid;
     d.dyn_id = ctx.next_dyn_id++;
+    d.wpos = ctx.window.pos_of_back();
     d.fetch_cycle = now_;
-    d.state = InstState::FrontEnd;
     bool stop_after = false;
 
     if (ctx.in_wrong_path) {
@@ -488,14 +490,12 @@ void SmtCore::fetch_from_thread(ThreadId tid, unsigned& budget) {
       }
     }
 
-    DynInst& nd = ctx.window.push_back(std::move(d));
-    nd.wpos = ctx.window.pos_of_back();
-    frontend_q_.push_back(QEntry{tid, nd.dyn_id, nd.wpos});
+    frontend_q_.push_back(QEntry{tid, d.dyn_id, d.wpos});
     ++frontend_live_;
     ++ctx.icount;
     fetched_.add();
-    if (nd.wrong_path) fetched_wrongpath_.add();
-    policy_->on_fetch(tid, nd.dyn_id, nd.ti);
+    if (d.wrong_path) fetched_wrongpath_.add();
+    policy_->on_fetch(tid, d.dyn_id, d.ti);
     --budget;
     ++taken_this_thread;
     if (stop_after) break;
@@ -600,9 +600,30 @@ bool SmtCore::check_invariants() const {
   }
   DWARN_CHECK(int_regs_.num_allocated() == expect_int);
   DWARN_CHECK(fp_regs_.num_allocated() == expect_fp);
+  // Issue queues: every entry names an InQueue instruction of its class,
+  // and its source slots are that instruction's renamed sources in the
+  // right register file; every InQueue instruction has an entry.
+  std::array<std::size_t, kNumIssueClasses> in_queue{};
+  for (const ThreadCtx& ctx : threads_) {
+    for (std::size_t i = 0; i < ctx.window.size(); ++i) {
+      const DynInst& d = ctx.window[i];
+      if (d.state == InstState::InQueue) {
+        ++in_queue[static_cast<std::size_t>(issue_class_of(d.ti.cls))];
+      }
+    }
+  }
   for (std::size_t c = 0; c < kNumIssueClasses; ++c) {
     DWARN_CHECK(iqs_[c].size() <= cfg_.iq_capacity[c]);
+    DWARN_CHECK(iqs_[c].size() == in_queue[c]);
+    for (const IqEntry& e : iqs_[c]) {
+      const DynInst* d = find_at(e.tid, e.dyn_id, e.wpos);
+      DWARN_CHECK(d != nullptr && d->state == InstState::InQueue);
+      DWARN_CHECK(static_cast<std::size_t>(issue_class_of(d->ti.cls)) == c);
+      DWARN_CHECK(e.src0 == src_ready_slot(d->ti.src_class[0], d->src_phys0));
+      DWARN_CHECK(e.src1 == src_ready_slot(d->ti.src_class[1], d->src_phys1));
+    }
   }
+  DWARN_CHECK(mem_.check_invariants());
   // Shared front end: live entries equal the FrontEnd-state population.
   std::size_t fe = 0;
   for (const ThreadCtx& ctx : threads_) {

@@ -24,8 +24,11 @@
 // Hot-path layout (docs/core_perf.md): the event calendar is a flat
 // bucket-ring EventWheel, the instruction windows and the shared front-end
 // queue are flat Rings with stable positions (O(1) instruction lookup from
-// queue/event entries). There is one tick loop; it reaches the fetch
-// policy through FetchPolicy's virtual interface.
+// queue/event entries), and fetch fills each DynInst in its window slot.
+// Issue-queue entries are self-contained (IqEntry): each carries pointers
+// to its sources' ready cycles, so select is one max-and-compare per
+// entry. There is one tick loop; it reaches the fetch policy through
+// FetchPolicy's virtual interface.
 #pragma once
 
 #include <cstdint>
@@ -108,18 +111,34 @@ class SmtCore final : public PolicyHost {
   [[nodiscard]] std::size_t free_fp_regs() const { return fp_regs_.num_free(); }
 
   /// Verify structural invariants (register conservation, window ordering,
-  /// queue consistency, icount accounting). Aborts via DWARN_CHECK inside;
-  /// returns true so tests can assert on it. The full walk runs in every
-  /// build when called explicitly; tick() additionally calls it
-  /// periodically under DWARN_EXPENSIVE_CHECKS (debug builds).
+  /// queue consistency including every IqEntry's source slots, icount
+  /// accounting, the memory side's MSHR expiry tracking). Aborts via
+  /// DWARN_CHECK inside; returns true so tests can assert on it. The full
+  /// walk runs in every build when called explicitly; tick() additionally
+  /// calls it periodically under DWARN_EXPENSIVE_CHECKS (debug builds).
   bool check_invariants() const;
 
  private:
+  /// Shared front-end queue entry: a handle to a fetched instruction.
   struct QEntry {
     ThreadId tid;
     std::uint64_t dyn_id;
     std::uint64_t wpos;  ///< window-ring position of the instruction
   };
+
+  /// Issue-queue entry: the handle plus everything select reads. Each
+  /// source is the address of its physical register's ready cycle
+  /// (PhysRegFile::ready_slot), or of kAlwaysReady when the instruction
+  /// has no such source, so readiness is max(*src0, *src1) <= now with no
+  /// branch on the source's register class.
+  struct IqEntry {
+    const Cycle* src0;
+    const Cycle* src1;
+    std::uint64_t dyn_id;
+    std::uint64_t wpos;  ///< window-ring position of the instruction
+    ThreadId tid;
+  };
+  static constexpr Cycle kAlwaysReady = 0;
 
   struct EventRec {
     enum class Kind : std::uint8_t {
@@ -183,6 +202,10 @@ class SmtCore final : public PolicyHost {
     DynInst& d = w.at_pos(wpos);
     return d.dyn_id == dyn_id ? &d : nullptr;
   }
+  [[nodiscard]] const DynInst* find_at(ThreadId tid, std::uint64_t dyn_id,
+                                       std::uint64_t wpos) const {
+    return const_cast<SmtCore*>(this)->find_at(tid, dyn_id, wpos);
+  }
   /// Binary-search lookup for callers without a position (flush_after).
   [[nodiscard]] DynInst* find(ThreadId tid, std::uint64_t dyn_id);
   void schedule(Cycle at, const EventRec& ev) { events_.schedule(now_, at, ev); }
@@ -192,7 +215,10 @@ class SmtCore final : public PolicyHost {
   [[nodiscard]] const PhysRegFile& regfile(RegClass c) const {
     return c == RegClass::Fp ? fp_regs_ : int_regs_;
   }
-  [[nodiscard]] bool sources_ready(const DynInst& d) const;
+  /// Ready-cycle slot of a renamed source (kAlwaysReady for none).
+  [[nodiscard]] const Cycle* src_ready_slot(RegClass c, std::uint16_t phys) const {
+    return phys == kNoReg ? &kAlwaysReady : regfile(c).ready_slot(phys);
+  }
   [[nodiscard]] Addr iline_of(Addr pc) const {
     // Fetch fragments on the line granularity of whichever instruction
     // cache actually serves ifetch (modeled subsystem when enabled).
@@ -209,7 +235,7 @@ class SmtCore final : public PolicyHost {
   std::vector<ThreadCtx> threads_;
   PhysRegFile int_regs_;
   PhysRegFile fp_regs_;
-  std::array<std::vector<QEntry>, kNumIssueClasses> iqs_;
+  std::array<std::vector<IqEntry>, kNumIssueClasses> iqs_;
 
   /// Shared in-order front end: fetched instructions of every context in
   /// fetch order. Rename consumes the head; a head that cannot get its

@@ -1,10 +1,8 @@
 #include "mem/cache.hpp"
 
-namespace dwarn {
+#include <bit>
 
-namespace {
-bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
-}  // namespace
+namespace dwarn {
 
 Cache::Cache(CacheConfig cfg, StatSet& stats)
     : cfg_(std::move(cfg)),
@@ -12,11 +10,15 @@ Cache::Cache(CacheConfig cfg, StatSet& stats)
       misses_(stats.counter(cfg_.name + ".misses")),
       writebacks_(stats.counter(cfg_.name + ".writebacks")),
       bank_conflicts_(stats.counter(cfg_.name + ".bank_conflicts")) {
-  DWARN_CHECK(is_pow2(cfg_.line_bytes));
-  DWARN_CHECK(is_pow2(cfg_.banks));
+  DWARN_CHECK(std::has_single_bit(cfg_.line_bytes));
+  DWARN_CHECK(std::has_single_bit(cfg_.banks));
   DWARN_CHECK(cfg_.assoc >= 1);
   DWARN_CHECK(cfg_.num_lines() % cfg_.assoc == 0);
-  DWARN_CHECK(is_pow2(cfg_.num_sets()));
+  DWARN_CHECK(std::has_single_bit(cfg_.num_sets()));
+  line_shift_ = static_cast<unsigned>(std::countr_zero(cfg_.line_bytes));
+  line_mask_ = ~static_cast<Addr>(cfg_.line_bytes - 1);
+  set_mask_ = cfg_.num_sets() - 1;
+  bank_mask_ = cfg_.banks - 1;
   lines_.resize(cfg_.num_lines());
   bank_free_at_.assign(cfg_.banks, 0);
 }

@@ -67,7 +67,7 @@ class Cache {
   [[nodiscard]] const CacheConfig& config() const { return cfg_; }
 
   /// Line-aligned address of `addr`.
-  [[nodiscard]] Addr line_of(Addr addr) const { return addr & ~static_cast<Addr>(cfg_.line_bytes - 1); }
+  [[nodiscard]] Addr line_of(Addr addr) const { return addr & line_mask_; }
 
  private:
   struct Line {
@@ -77,14 +77,21 @@ class Cache {
     std::uint64_t lru = 0;  ///< larger = more recently used
   };
 
+  // Every geometry term is a power of two (checked at construction), so
+  // the index math is shifts and masks worked out once, as in QEMU's
+  // dcache model, instead of divisions on every access.
   [[nodiscard]] std::size_t set_index(Addr line_addr) const {
-    return static_cast<std::size_t>((line_addr / cfg_.line_bytes) % cfg_.num_sets());
+    return static_cast<std::size_t>((line_addr >> line_shift_) & set_mask_);
   }
   [[nodiscard]] std::size_t bank_index(Addr line_addr) const {
-    return static_cast<std::size_t>((line_addr / cfg_.line_bytes) % cfg_.banks);
+    return static_cast<std::size_t>((line_addr >> line_shift_) & bank_mask_);
   }
 
   CacheConfig cfg_;
+  unsigned line_shift_ = 0;  ///< log2(line_bytes)
+  Addr line_mask_ = 0;       ///< clears the offset within a line
+  Addr set_mask_ = 0;        ///< num_sets - 1
+  Addr bank_mask_ = 0;       ///< banks - 1
   std::vector<Line> lines_;            ///< num_sets * assoc, set-major
   std::vector<Cycle> bank_free_at_;    ///< next cycle each bank is free
   std::uint64_t lru_clock_ = 0;

@@ -154,4 +154,11 @@ void MemoryHierarchy::clear_state() {
   if (imem_) imem_->clear_state();
 }
 
+bool MemoryHierarchy::check_invariants() const {
+  DWARN_CHECK(l1d_mshrs_.next_expiry_consistent());
+  DWARN_CHECK(l1i_mshrs_.next_expiry_consistent());
+  if (imem_) DWARN_CHECK(imem_->mshrs().next_expiry_consistent());
+  return true;
+}
+
 }  // namespace dwarn

@@ -91,6 +91,11 @@ class MemoryHierarchy {
   /// Reset all cache/TLB/MSHR state (not statistics).
   void clear_state();
 
+  /// Verify bookkeeping that the per-cycle path relies on: every MSHR
+  /// file's tracked next expiry. Aborts via DWARN_CHECK; returns true so
+  /// tests can assert on it.
+  bool check_invariants() const;
+
   [[nodiscard]] const MemoryConfig& config() const { return cfg_; }
   [[nodiscard]] const Cache& l1d() const { return l1d_; }
   [[nodiscard]] const Cache& l1i() const { return l1i_; }

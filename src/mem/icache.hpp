@@ -82,7 +82,7 @@ class InstMemory {
   [[nodiscard]] const ICacheConfig& config() const { return cfg_; }
   [[nodiscard]] const Cache& l1i() const { return tags_; }
   [[nodiscard]] const ITlb& itlb(ThreadId tid) const { return itlbs_[tid]; }
-  [[nodiscard]] std::size_t mshrs_in_flight() const { return mshrs_.in_flight(); }
+  [[nodiscard]] const MshrFile& mshrs() const { return mshrs_; }
 
   // Cumulative counters (telemetry reads these every sampling interval).
   [[nodiscard]] std::uint64_t fetch_count() const { return fetches_.value(); }

@@ -18,11 +18,12 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
+#include "mem/tlb.hpp"
 
 namespace dwarn {
 
@@ -35,81 +36,37 @@ struct ITlbConfig {
   Cycle walk_cycles = 40;  ///< fetch-path penalty of a page walk
 };
 
-/// Set-associative instruction TLB with true-LRU replacement. Like the
-/// DTLB, translation is identity (the simulator is virtually addressed);
-/// the structure exists purely for its timing behavior on the fetch path.
+/// Set-associative instruction TLB with true-LRU replacement: the DTLB's
+/// structure (mem/tlb.hpp, same counters under the I-TLB's name) with a
+/// page-walk penalty charged on the fetch path. Like the DTLB, translation
+/// is identity (the simulator is virtually addressed); the structure exists
+/// purely for its timing behavior.
 class ITlb {
  public:
   ITlb(ITlbConfig cfg, StatSet& stats)
       : cfg_(std::move(cfg)),
-        entries_(cfg_.entries),
-        accesses_(stats.counter(cfg_.name + ".accesses")),
-        misses_(stats.counter(cfg_.name + ".misses")) {
+        tlb_(TlbConfig{.name = cfg_.name, .entries = cfg_.entries, .assoc = cfg_.assoc,
+                       .page_bytes = cfg_.page_bytes},
+             stats) {
     DWARN_CHECK(cfg_.entries >= 1);
-    DWARN_CHECK(cfg_.assoc >= 1);
-    DWARN_CHECK(cfg_.entries % cfg_.assoc == 0);
     DWARN_CHECK(cfg_.page_bytes >= 64);
   }
 
   /// Probe-and-fill: returns the fetch-path penalty — 0 on a hit,
   /// `walk_cycles` on a miss (the page is installed behind the walk).
-  [[nodiscard]] Cycle access(Addr pc) {
-    accesses_.add();
-    const Addr page = pc / cfg_.page_bytes;
-    const std::size_t sets = cfg_.entries / cfg_.assoc;
-    const std::size_t set = static_cast<std::size_t>(page % sets);
-    Entry* const base = &entries_[set * cfg_.assoc];
-    ++clock_;
-    for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
-      if (base[w].valid && base[w].page == page) {
-        base[w].lru = clock_;
-        return 0;
-      }
-    }
-    misses_.add();
-    Entry* victim = &base[0];
-    for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
-      if (!base[w].valid) {
-        victim = &base[w];
-        break;
-      }
-      if (base[w].lru < victim->lru) victim = &base[w];
-    }
-    *victim = Entry{page, clock_, true};
-    return cfg_.walk_cycles;
-  }
+  [[nodiscard]] Cycle access(Addr pc) { return tlb_.access(pc) ? 0 : cfg_.walk_cycles; }
 
   /// Hit check without side effects (tests).
-  [[nodiscard]] bool probe(Addr pc) const {
-    const Addr page = pc / cfg_.page_bytes;
-    const std::size_t sets = cfg_.entries / cfg_.assoc;
-    const std::size_t set = static_cast<std::size_t>(page % sets);
-    const Entry* const base = &entries_[set * cfg_.assoc];
-    for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
-      if (base[w].valid && base[w].page == page) return true;
-    }
-    return false;
-  }
+  [[nodiscard]] bool probe(Addr pc) const { return tlb_.probe(pc); }
 
-  void clear() {
-    for (auto& e : entries_) e.valid = false;
-  }
+  void clear() { tlb_.clear(); }
 
   [[nodiscard]] const ITlbConfig& config() const { return cfg_; }
-  [[nodiscard]] std::uint64_t miss_count() const { return misses_.value(); }
+  [[nodiscard]] std::uint64_t miss_count() const { return tlb_.miss_count(); }
 
  private:
-  struct Entry {
-    Addr page = 0;
-    std::uint64_t lru = 0;
-    bool valid = false;
-  };
-
   ITlbConfig cfg_;
-  std::vector<Entry> entries_;
-  std::uint64_t clock_ = 0;
-  Counter& accesses_;
-  Counter& misses_;
+  Tlb tlb_;
 };
 
 }  // namespace dwarn

@@ -54,17 +54,37 @@ class MshrFile {
     for (auto& e : entries_) {
       if (!e.valid) {
         e = MshrEntry{line, ready_at, 0, true};
+        if (ready_at < next_expiry_) next_expiry_ = ready_at;
         return true;
       }
     }
     return false;
   }
 
-  /// Retire every entry whose fill has arrived by `now`.
+  /// Retire every entry whose fill has arrived by `now`. Called every
+  /// cycle, so it returns at once until the earliest fill is due.
   void expire(Cycle now) {
+    if (now < next_expiry_) return;
+    Cycle next = kNoCycle;
     for (auto& e : entries_) {
-      if (e.valid && e.ready_at <= now) e.valid = false;
+      if (!e.valid) continue;
+      if (e.ready_at <= now) {
+        e.valid = false;
+      } else if (e.ready_at < next) {
+        next = e.ready_at;
+      }
     }
+    next_expiry_ = next;
+  }
+
+  /// Self-check: the tracked next expiry is the earliest valid fill
+  /// (kNoCycle when the file is empty).
+  [[nodiscard]] bool next_expiry_consistent() const {
+    Cycle earliest = kNoCycle;
+    for (const auto& e : entries_) {
+      if (e.valid && e.ready_at < earliest) earliest = e.ready_at;
+    }
+    return earliest == next_expiry_;
   }
 
   /// Number of currently in-flight entries.
@@ -78,10 +98,14 @@ class MshrFile {
 
   void clear() {
     for (auto& e : entries_) e.valid = false;
+    next_expiry_ = kNoCycle;
   }
 
  private:
   std::vector<MshrEntry> entries_;
+  /// Earliest ready_at over valid entries: allocate lowers it, expire
+  /// recomputes it whenever it scans, clear resets it.
+  Cycle next_expiry_ = kNoCycle;
 };
 
 }  // namespace dwarn

@@ -6,7 +6,9 @@
 // page size, matching the paper's compilation target).
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -33,16 +35,21 @@ class Tlb {
         lines_(cfg.entries),
         accesses_(stats.counter(cfg.name + ".accesses")),
         misses_(stats.counter(cfg.name + ".misses")) {
+    DWARN_CHECK(cfg_.assoc >= 1);
     DWARN_CHECK(cfg_.entries % cfg_.assoc == 0);
+    // Page and set selection are a shift and a mask (no division on the
+    // per-access path), which needs both to be powers of two.
+    DWARN_CHECK(std::has_single_bit(cfg_.page_bytes));
+    DWARN_CHECK(std::has_single_bit(cfg_.entries / cfg_.assoc));
+    page_shift_ = static_cast<unsigned>(std::countr_zero(cfg_.page_bytes));
+    set_mask_ = cfg_.entries / cfg_.assoc - 1;
   }
 
   /// Probe-and-fill: returns true on hit; on miss the page is installed.
   bool access(Addr addr) {
     accesses_.add();
-    const Addr page = addr / cfg_.page_bytes;
-    const std::size_t sets = cfg_.entries / cfg_.assoc;
-    const std::size_t set = static_cast<std::size_t>(page % sets);
-    Entry* const base = &lines_[set * cfg_.assoc];
+    const Addr page = addr >> page_shift_;
+    Entry* const base = &lines_[set_of(page) * cfg_.assoc];
     ++clock_;
     for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
       if (base[w].valid && base[w].page == page) {
@@ -65,10 +72,8 @@ class Tlb {
 
   /// Hit check without side effects.
   [[nodiscard]] bool probe(Addr addr) const {
-    const Addr page = addr / cfg_.page_bytes;
-    const std::size_t sets = cfg_.entries / cfg_.assoc;
-    const std::size_t set = static_cast<std::size_t>(page % sets);
-    const Entry* const base = &lines_[set * cfg_.assoc];
+    const Addr page = addr >> page_shift_;
+    const Entry* const base = &lines_[set_of(page) * cfg_.assoc];
     for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
       if (base[w].valid && base[w].page == page) return true;
     }
@@ -80,6 +85,7 @@ class Tlb {
   }
 
   [[nodiscard]] const TlbConfig& config() const { return cfg_; }
+  [[nodiscard]] std::uint64_t miss_count() const { return misses_.value(); }
 
  private:
   struct Entry {
@@ -88,7 +94,13 @@ class Tlb {
     bool valid = false;
   };
 
+  [[nodiscard]] std::size_t set_of(Addr page) const {
+    return static_cast<std::size_t>(page & set_mask_);
+  }
+
   TlbConfig cfg_;
+  unsigned page_shift_ = 0;  ///< log2(page_bytes)
+  Addr set_mask_ = 0;        ///< number of sets - 1
   std::vector<Entry> lines_;
   std::uint64_t clock_ = 0;
   Counter& accesses_;

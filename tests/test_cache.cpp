@@ -1,6 +1,10 @@
 // Unit + parameterized property tests: set-associative cache model.
 #include <gtest/gtest.h>
 
+#include <random>
+#include <tuple>
+#include <vector>
+
 #include "common/stats.hpp"
 #include "mem/cache.hpp"
 
@@ -172,6 +176,120 @@ INSTANTIATE_TEST_SUITE_P(Geometries, CacheGeometry,
                          ::testing::Values(Geometry{4096, 1}, Geometry{4096, 2},
                                            Geometry{8192, 4}, Geometry{65536, 2},
                                            Geometry{524288, 2}, Geometry{16384, 8}));
+
+// ---- Shift/mask indexing vs a division-based reference ----------------------
+
+/// The cache written straight from its definition: line number, set and
+/// bank by division and remainder, true LRU, one port per bank per cycle.
+class RefCache {
+ public:
+  explicit RefCache(const CacheConfig& cfg)
+      : cfg_(cfg), ways_(cfg.num_lines()), bank_free_(cfg.banks, 0) {}
+
+  CacheAccessResult access(Addr addr, bool is_write, Cycle now) {
+    CacheAccessResult res;
+    const Addr line_no = addr / cfg_.line_bytes;
+    const Addr line = line_no * cfg_.line_bytes;
+    const std::size_t bank = static_cast<std::size_t>(line_no % cfg_.banks);
+    if (bank_free_[bank] > now) {
+      res.bank_delay = bank_free_[bank] - now;
+      bank_free_[bank] += 1;
+    } else {
+      bank_free_[bank] = now + 1;
+    }
+    Way* const set = &ways_[static_cast<std::size_t>(line_no % cfg_.num_sets()) * cfg_.assoc];
+    ++clock_;
+    for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
+      if (set[w].valid && set[w].line == line) {
+        set[w].lru = clock_;
+        set[w].dirty = set[w].dirty || is_write;
+        res.hit = true;
+        return res;
+      }
+    }
+    Way* victim = &set[0];
+    for (std::uint32_t w = 0; w < cfg_.assoc; ++w) {
+      if (!set[w].valid) {
+        victim = &set[w];
+        break;
+      }
+      if (set[w].lru < victim->lru) victim = &set[w];
+    }
+    if (victim->valid) {
+      res.evicted = true;
+      res.victim_line = victim->line;
+      res.writeback = victim->dirty;
+    }
+    *victim = Way{line, clock_, true, is_write};
+    return res;
+  }
+
+ private:
+  struct Way {
+    Addr line = 0;
+    std::uint64_t lru = 0;
+    bool valid = false;
+    bool dirty = false;
+  };
+  CacheConfig cfg_;
+  std::vector<Way> ways_;
+  std::vector<Cycle> bank_free_;
+  std::uint64_t clock_ = 0;
+};
+
+using IndexGeometry = std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>;  // line, assoc, banks
+
+class CacheIndexMath : public ::testing::TestWithParam<IndexGeometry> {};
+
+TEST_P(CacheIndexMath, HitMissVictimAndBankSequencesMatchDivisionReference) {
+  const auto [line, assoc, banks] = GetParam();
+  const CacheConfig cfg{.name = "m", .size_bytes = 8192, .assoc = assoc, .line_bytes = line,
+                        .banks = banks};
+  StatSet stats;
+  Cache c(cfg, stats);
+  RefCache ref(cfg);
+  // Seeded stream: half the accesses revisit a small hot set (hits, LRU
+  // refreshes), half roam 4x the capacity at a high base (misses, victims,
+  // 64-bit tags); several accesses share a cycle, so banks conflict.
+  std::mt19937_64 rng(0xD1A6 + line * 131 + assoc * 17 + banks);
+  const Addr high = Addr{0x7f3a} << 32;
+  std::vector<Addr> hot;
+  for (int i = 0; i < 24; ++i) hot.push_back(high + rng() % (2 * cfg.size_bytes));
+  Cycle now = 1;
+  std::uint64_t misses = 0, conflicts = 0, writebacks = 0;
+  for (int i = 0; i < 6000; ++i) {
+    const Addr a = (rng() & 1) != 0 ? hot[rng() % hot.size()]
+                                    : high + rng() % (4 * cfg.size_bytes);
+    const bool write = rng() % 4 == 0;
+    now += rng() % 3 == 0 ? 1 : 0;
+    SCOPED_TRACE(::testing::Message() << "access " << i << " addr 0x" << std::hex << a);
+    const CacheAccessResult got = c.access(a, write, now);
+    const CacheAccessResult want = ref.access(a, write, now);
+    ASSERT_EQ(got.hit, want.hit);
+    ASSERT_EQ(got.evicted, want.evicted);
+    ASSERT_EQ(got.victim_line, want.victim_line);
+    ASSERT_EQ(got.writeback, want.writeback);
+    ASSERT_EQ(got.bank_delay, want.bank_delay);
+    ASSERT_EQ(c.line_of(a), a / line * line);
+    ASSERT_TRUE(c.probe(a));
+    misses += want.hit ? 0 : 1;
+    conflicts += want.bank_delay > 0 ? 1 : 0;
+    writebacks += want.writeback ? 1 : 0;
+  }
+  EXPECT_EQ(stats.value("m.misses"), misses);
+  EXPECT_EQ(stats.value("m.bank_conflicts"), conflicts);
+  EXPECT_EQ(stats.value("m.writebacks"), writebacks);
+  // The stream must exercise every path it checks.
+  EXPECT_GT(misses, 0u);
+  EXPECT_LT(misses, 6000u);
+  EXPECT_GT(writebacks, 0u);
+  EXPECT_GT(conflicts, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(LineAssocBanks, CacheIndexMath,
+                         ::testing::Combine(::testing::Values(32u, 64u, 128u),
+                                            ::testing::Values(1u, 2u, 4u),
+                                            ::testing::Values(1u, 4u, 8u)));
 
 }  // namespace
 }  // namespace dwarn

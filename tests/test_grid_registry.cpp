@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "engine/grid_registry.hpp"
@@ -44,6 +45,24 @@ TEST(GridRegistry, EveryNameExpandsToADistinctNonEmptyGrid) {
   }
   EXPECT_FALSE(is_registered_grid("fig1_throughput"));
   EXPECT_FALSE(is_registered_grid(""));
+}
+
+TEST(GridRegistry, EveryMachineOfEveryGridConstructs) {
+  // Caches, TLBs and I-TLBs index with shifts and masks and abort on a
+  // geometry that is not a power of two; no registered machine may hit
+  // that. One Simulator per distinct (machine, thread count) builds the
+  // whole machine: hierarchy, modeled instruction side and core.
+  std::set<std::pair<std::string, std::size_t>> built;
+  for (const std::string& name : registered_grids()) {
+    for (const RunSpec& s : named_grid(name).expand()) {
+      const std::size_t threads = s.workload.num_threads();
+      if (!built.insert({s.machine.name, threads}).second) continue;
+      Simulator sim(s.machine.build(threads), s.workload, s.policy, s.params, s.seed);
+      sim.tick(1000);
+      EXPECT_TRUE(sim.core().check_invariants()) << name << ": " << s.machine.name;
+    }
+  }
+  EXPECT_GE(built.size(), 20u);
 }
 
 TEST(GridRegistry, DetectDelayIsThePaperSubset) {

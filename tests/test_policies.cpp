@@ -1,7 +1,9 @@
 // Unit tests: every fetch policy against a scripted PolicyHost.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <random>
 
 #include "policy/data_gating.hpp"
 #include "policy/dcpred.hpp"
@@ -61,6 +63,35 @@ TEST(ICountPolicy, TiesKeepCandidateOrder) {
   h.icounts = {7, 7, 7, 7};
   ICountPolicy p(h);
   EXPECT_EQ(order_of(p, {2, 0, 3, 1}), (std::vector<ThreadId>{2, 0, 3, 1}));
+}
+
+TEST(ICountPolicy, OrderEqualsStableSortOnSeededTieHeavyCounts) {
+  // sort_by_icount is a hand-written insertion sort; pin it to the
+  // std::stable_sort it replaced, for every thread count, with icounts
+  // drawn from a tiny range so most comparisons are ties.
+  std::mt19937_64 rng(42);
+  for (std::size_t n = 1; n <= kMaxThreads; ++n) {
+    for (int trial = 0; trial < 300; ++trial) {
+      FakeHost h;
+      h.threads = n;
+      for (std::size_t t = 0; t < kMaxThreads; ++t) {
+        h.icounts[t] = static_cast<unsigned>(rng() % (trial % 3 == 0 ? 2 : 4));
+      }
+      std::vector<ThreadId> cands;
+      for (std::size_t t = 0; t < n; ++t) cands.push_back(static_cast<ThreadId>(t));
+      std::shuffle(cands.begin(), cands.end(), rng);
+      cands.resize(1 + rng() % n);  // policies also sort subsets (DWarn groups)
+
+      std::vector<ThreadId> want = cands;
+      std::stable_sort(want.begin(), want.end(), [&](ThreadId a, ThreadId b) {
+        return h.icounts[a] < h.icounts[b];
+      });
+      ICountPolicy p(h);
+      std::vector<ThreadId> got;
+      p.order(std::span<const ThreadId>(cands), got);
+      ASSERT_EQ(got, want) << "threads " << n << " trial " << trial;
+    }
+  }
 }
 
 TEST(RoundRobinPolicy, Rotates) {

@@ -72,6 +72,28 @@ struct TestEv {
   int seq;
 };
 
+TEST(Ring, EmplaceBackResetsTheRecycledSlotInPlace) {
+  struct Slot {
+    int a = 7;
+    std::uint64_t b = 0;
+  };
+  Ring<Slot> ring(2);
+  ring.push_back(Slot{1, 11});
+  Slot& second = ring.push_back(Slot{2, 22});
+  const std::uint64_t pos = ring.pos_of_back();
+  ring.pop_back();  // squash: the next append reuses this position and slot
+  Slot& again = ring.emplace_back();
+  EXPECT_EQ(&again, &second);
+  EXPECT_EQ(ring.pos_of_back(), pos);
+  EXPECT_EQ(again.a, 7);  // the stale {2, 22} is gone
+  EXPECT_EQ(again.b, 0u);
+  for (int i = 0; i < 5; ++i) ring.emplace_back().a = 100 + i;  // grows twice
+  ASSERT_EQ(ring.size(), 7u);
+  EXPECT_EQ(ring.front().b, 11u);
+  EXPECT_EQ(ring.back().a, 104);
+  EXPECT_EQ(ring.at_pos(pos).a, 7);
+}
+
 TEST(EventWheel, FiresInMapCalendarOrder) {
   // Random schedule distances straddling the wheel span; the reference is
   // the old std::map<Cycle, vector> calendar.
