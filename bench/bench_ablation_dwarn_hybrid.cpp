@@ -21,7 +21,7 @@ int main() {
   const ResultSet results = ExperimentEngine().run(named_grid("ablation_dwarn_hybrid"));
 
   print_banner(std::cout, "Ablation: DWarn response-action variants (throughput)");
-  print_metric_table(std::cout, results, grid_workloads(results), grid_policies(results),
-                     throughput_metric(), "throughput (IPC)");
+  print_ci_metric_table(std::cout, results, grid_workloads(results), grid_policies(results),
+                        analysis::throughput_metric(), "throughput (IPC)");
   return write_bench_json("ablation_dwarn_hybrid", results) ? 0 : 1;
 }

@@ -7,14 +7,14 @@
 // table shapes from the ResultSet, and snapshots every run into
 // BENCH_<name>.json via ResultStore so perf trajectories are
 // machine-readable. The two table printers cover the paper's two figure
-// shapes: absolute metric per (workload, policy), and "DWarn improvement
-// over policy X" grouped by workload type.
+// shapes, each as mean ± 95% CI over the grid's seeds: absolute metric
+// per (workload, policy), and "DWarn improvement over policy X" grouped by
+// workload type.
 #pragma once
 
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <functional>
 #include <iostream>
 #include <map>
 #include <string>
@@ -35,21 +35,6 @@
 #include "trace/trace_cache.hpp"
 
 namespace dwarn::benchutil {
-
-/// Metric extracted from one finished run (throughput, hmean, ...).
-using Metric = std::function<double(const SimResult&, const WorkloadSpec&)>;
-
-/// Metric: throughput (sum of IPCs).
-inline Metric throughput_metric() {
-  return [](const SimResult& r, const WorkloadSpec&) { return r.throughput; };
-}
-
-/// Metric: Hmean of relative IPCs against `solo` baselines.
-inline Metric hmean_metric(const SoloIpcMap& solo) {
-  return [&solo](const SimResult& r, const WorkloadSpec& w) {
-    return hmean_relative(r, w, solo);
-  };
-}
 
 /// Replication count for a bench grid: SMT_BENCH_SEEDS, defaulting to 1
 /// (the paper's point-estimate mode).
@@ -139,99 +124,11 @@ inline std::vector<PolicyKind> grid_policies(const ResultSet& rs) {
   return out;
 }
 
-/// Print a per-(workload, policy) absolute metric table (Figure 1(a) shape).
-/// `key` narrows the lookup (machine/tag) for sweep benches.
-inline void print_metric_table(std::ostream& os, const ResultSet& rs,
-                               std::span<const WorkloadSpec> workloads,
-                               std::span<const PolicyKind> policies,
-                               const Metric& metric, const std::string& metric_name,
-                               const RunKey& key = {}) {
-  std::vector<std::string> headers{"workload"};
-  for (const PolicyKind p : policies) headers.emplace_back(policy_name(p));
-  ReportTable table(std::move(headers));
-  for (const auto& w : workloads) {
-    std::vector<std::string> row{w.name};
-    for (const PolicyKind p : policies) {
-      RunKey k = key;
-      k.workload = w.name;
-      k.policy = policy_name(p);
-      row.push_back(fmt(metric(rs.get(k), w), 2));
-    }
-    table.add_row(std::move(row));
-  }
-  os << metric_name << " per policy:\n";
-  table.print(os);
-}
-
-/// Print DWarn's relative improvement over every other policy, one row per
-/// workload plus per-type averages (Figure 1(b) / Figure 3 / Figure 4/5
-/// shape). Returns the per-policy grand averages keyed by policy name.
-inline std::map<std::string, double> print_improvement_table(
-    std::ostream& os, const ResultSet& rs, std::span<const WorkloadSpec> workloads,
-    std::span<const PolicyKind> policies, const Metric& metric,
-    const std::string& metric_name, const RunKey& key = {}) {
-  std::vector<PolicyKind> others;
-  for (const PolicyKind p : policies) {
-    if (p != PolicyKind::DWarn) others.push_back(p);
-  }
-
-  std::vector<std::string> headers{"workload"};
-  for (const PolicyKind p : others) {
-    headers.push_back("DWarn/" + std::string(policy_name(p)));
-  }
-  ReportTable table(std::move(headers));
-
-  auto lookup = [&](const WorkloadSpec& w, PolicyKind p) -> const SimResult& {
-    RunKey k = key;
-    k.workload = w.name;
-    k.policy = policy_name(p);
-    return rs.get(k);
-  };
-
-  std::map<std::string, std::map<WorkloadType, std::vector<double>>> by_type;
-  for (const auto& w : workloads) {
-    const double ours = metric(lookup(w, PolicyKind::DWarn), w);
-    std::vector<std::string> row{w.name};
-    for (const PolicyKind p : others) {
-      const double theirs = metric(lookup(w, p), w);
-      const double imp = improvement_pct(ours, theirs);
-      by_type[std::string(policy_name(p))][w.type].push_back(imp);
-      row.push_back(fmt_signed_pct(imp));
-    }
-    table.add_row(std::move(row));
-  }
-  // Per-type and grand averages (the paper's "avg" cluster).
-  std::map<std::string, double> grand;
-  for (const WorkloadType t : {WorkloadType::ILP, WorkloadType::MIX, WorkloadType::MEM}) {
-    std::vector<std::string> row{"avg-" + std::string(to_string(t))};
-    for (const PolicyKind p : others) {
-      const auto& v = by_type[std::string(policy_name(p))][t];
-      row.push_back(fmt_signed_pct(amean(v)));
-    }
-    table.add_row(std::move(row));
-  }
-  {
-    std::vector<std::string> row{"avg"};
-    for (const PolicyKind p : others) {
-      std::vector<double> all;
-      for (auto& [t, v] : by_type[std::string(policy_name(p))]) {
-        all.insert(all.end(), v.begin(), v.end());
-      }
-      const double g = amean(all);
-      grand[std::string(policy_name(p))] = g;
-      row.push_back(fmt_signed_pct(g));
-    }
-    table.add_row(std::move(row));
-  }
-  os << "DWarn " << metric_name << " improvement over each policy:\n";
-  table.print(os);
-  return grand;
-}
-
-/// Print a per-(workload, policy) "mean ± 95% CI" metric table: the CI
-/// version of print_metric_table, aggregating across every seed in the
-/// grid via the analysis subsystem. With a single seed the half-width
-/// collapses to ±0.00 and the means match the point-estimate table.
+/// Print a per-(workload, policy) "mean ± 95% CI" metric table (Figure
+/// 1(a) shape), aggregating across every seed in the grid via the
+/// analysis subsystem. `key` narrows the lookup (machine/tag) for sweep
+/// benches. With a single seed the half-width collapses to ±0.00 and the
+/// means are the point estimates.
 inline void print_ci_metric_table(std::ostream& os, const ResultSet& rs,
                                   std::span<const WorkloadSpec> workloads,
                                   std::span<const PolicyKind> policies,
@@ -262,7 +159,8 @@ inline void print_ci_metric_table(std::ostream& os, const ResultSet& rs,
 }
 
 /// Print DWarn's paired per-seed improvement over every other policy with
-/// a 95% CI on the delta (the CI version of print_improvement_table).
+/// a 95% CI on the delta, one row per workload plus per-type averages
+/// (Figure 1(b) / Figure 3 / Figure 4/5 shape).
 /// The avg rows pool the per-seed deltas of all workloads of a type.
 /// Returns the grand-average delta stats keyed by policy name.
 inline std::map<std::string, analysis::SampleStats> print_ci_improvement_table(

@@ -16,21 +16,20 @@ int main() {
   using namespace dwarn::benchutil;
 
   const ResultSet results = ExperimentEngine().run(named_grid("fig4_small_arch"));
-  const SoloIpcMap solo = results.solo_ipcs();
+  const analysis::RecordMetric hmean = analysis::hmean_metric(results);
   const std::vector<WorkloadSpec> workloads = grid_workloads(results);
   const std::vector<PolicyKind> policies = grid_policies(results);
 
   print_banner(std::cout, "Figure 4 (small machine: 4-wide, 1.4 fetch, 4 contexts)");
-  print_metric_table(std::cout, results, workloads, policies, throughput_metric(),
-                     "throughput (IPC)");
+  print_ci_metric_table(std::cout, results, workloads, policies,
+                        analysis::throughput_metric(), "throughput (IPC)");
 
   print_banner(std::cout, "Figure 4(a): DWarn throughput improvement (small machine)");
-  print_improvement_table(std::cout, results, workloads, policies,
-                          throughput_metric(), "throughput");
+  print_ci_improvement_table(std::cout, results, workloads, policies,
+                             analysis::throughput_metric(), "throughput");
 
   print_banner(std::cout, "Figure 4(b): DWarn Hmean improvement (small machine)");
-  print_improvement_table(std::cout, results, workloads, policies,
-                          hmean_metric(solo), "Hmean");
+  print_ci_improvement_table(std::cout, results, workloads, policies, hmean, "Hmean");
 
   std::cout << "\npaper reference (MIX+MEM avg): throughput +5% vs STALL, +23% vs DG, +10% vs\n"
                "FLUSH, +40% vs PDG; Hmean +5/+28/+10/+50; ICOUNT wins MIX Hmean by ~5%\n";

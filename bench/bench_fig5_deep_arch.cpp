@@ -15,21 +15,20 @@ int main() {
   using namespace dwarn::benchutil;
 
   const ResultSet results = ExperimentEngine().run(named_grid("fig5_deep_arch"));
-  const SoloIpcMap solo = results.solo_ipcs();
+  const analysis::RecordMetric hmean = analysis::hmean_metric(results);
   const std::vector<WorkloadSpec> workloads = grid_workloads(results);
   const std::vector<PolicyKind> policies = grid_policies(results);
 
   print_banner(std::cout, "Figure 5 (deep machine: 16 stages, mem 200 cycles)");
-  print_metric_table(std::cout, results, workloads, policies, throughput_metric(),
-                     "throughput (IPC)");
+  print_ci_metric_table(std::cout, results, workloads, policies,
+                        analysis::throughput_metric(), "throughput (IPC)");
 
   print_banner(std::cout, "Figure 5(a): DWarn throughput improvement (deep machine)");
-  print_improvement_table(std::cout, results, workloads, policies,
-                          throughput_metric(), "throughput");
+  print_ci_improvement_table(std::cout, results, workloads, policies,
+                             analysis::throughput_metric(), "throughput");
 
   print_banner(std::cout, "Figure 5(b): DWarn Hmean improvement (deep machine)");
-  print_improvement_table(std::cout, results, workloads, policies,
-                          hmean_metric(solo), "Hmean");
+  print_ci_improvement_table(std::cout, results, workloads, policies, hmean, "Hmean");
 
   print_banner(std::cout, "Section 6: FLUSH re-fetch overhead on the deep machine");
   {

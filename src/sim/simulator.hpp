@@ -112,7 +112,7 @@ class Simulator {
 /// `seed`: replicated instances of a benchmark get independent seeds (the
 /// paper shifts the second instance by 1M instructions instead). This is
 /// the trace-cache key derivation — the Simulator and anything that
-/// enumerates trace keys (bench_micro_trace_cache) must share it.
+/// enumerates trace keys (perfbench/passes.cpp) must share it.
 [[nodiscard]] std::uint64_t thread_stream_seed(const WorkloadSpec& workload,
                                                std::size_t t, std::uint64_t seed);
 
