@@ -161,7 +161,9 @@ inline void print_ci_metric_table(std::ostream& os, const ResultSet& rs,
 /// Print DWarn's paired per-seed improvement over every other policy with
 /// a 95% CI on the delta, one row per workload plus per-type averages
 /// (Figure 1(b) / Figure 3 / Figure 4/5 shape).
-/// The avg rows pool the per-seed deltas of all workloads of a type.
+/// An avg row first averages each seed's deltas over the row's workloads,
+/// then bootstraps over those per-seed averages, so its CI is over seeds
+/// (one seed prints ± 0.0), not a spread across workloads.
 /// Returns the grand-average delta stats keyed by policy name.
 inline std::map<std::string, analysis::SampleStats> print_ci_improvement_table(
     std::ostream& os, const ResultSet& rs, std::span<const WorkloadSpec> workloads,
@@ -177,15 +179,14 @@ inline std::map<std::string, analysis::SampleStats> print_ci_improvement_table(
   // workload across every (machine, tag) the key filter admits, so a
   // multi-variant grid contributes all its replications to a cell rather
   // than just the first variant's.
-  std::map<std::string, std::map<std::string, std::vector<double>>> by_policy;
+  std::map<std::string, std::map<std::string, std::vector<analysis::PairedRow>>> by_policy;
   for (const PolicyKind p : others) {
     auto& per_workload = by_policy[std::string(policy_name(p))];
-    for (const analysis::PairedRow& pr :
+    for (analysis::PairedRow& pr :
          analysis::paired_comparison(rs, "DWarn", policy_name(p), metric, cfg)) {
       if (!key.machine.empty() && pr.machine != key.machine) continue;
       if (!key.tag.empty() && pr.tag != key.tag) continue;
-      auto& pooled = per_workload[pr.workload];
-      pooled.insert(pooled.end(), pr.delta_pct.begin(), pr.delta_pct.end());
+      per_workload[pr.workload].push_back(std::move(pr));
     }
   }
 
@@ -194,46 +195,68 @@ inline std::map<std::string, analysis::SampleStats> print_ci_improvement_table(
     headers.push_back("DWarn/" + std::string(policy_name(p)));
   }
   ReportTable table(std::move(headers));
+  const auto cell = [](const analysis::SampleStats& s) {
+    return fmt_signed_pct(s.mean) + " ± " + fmt(s.ci_halfwidth(), 1);
+  };
 
-  std::map<std::string, std::map<WorkloadType, std::vector<double>>> by_type;
+  // Per policy and workload type, each seed's deltas over the type's
+  // workloads; the avg rows summarize their per-seed means.
+  using SeedDeltas = std::map<std::uint64_t, std::vector<double>>;
+  std::map<std::string, std::map<WorkloadType, SeedDeltas>> by_type;
   for (const auto& w : workloads) {
     std::vector<std::string> row{w.name};
     for (const PolicyKind p : others) {
-      const auto& per_workload = by_policy.at(std::string(policy_name(p)));
+      const std::string name(policy_name(p));
+      const auto& per_workload = by_policy.at(name);
       const auto it = per_workload.find(w.name);
-      if (it == per_workload.end() || it->second.empty()) {
+      if (it == per_workload.end()) {
         // No pairable runs survived the filter (e.g. a policy missing
         // from the grid); report it rather than aborting the table.
         row.push_back("n/a");
         continue;
       }
-      auto& pooled = by_type[std::string(policy_name(p))][w.type];
-      pooled.insert(pooled.end(), it->second.begin(), it->second.end());
-      const analysis::SampleStats s = analysis::summarize(it->second, cfg);
-      row.push_back(fmt_signed_pct(s.mean) + " ± " + fmt(s.ci_halfwidth(), 1));
+      std::vector<double> pooled;
+      SeedDeltas& seeds = by_type[name][w.type];
+      for (const analysis::PairedRow& pr : it->second) {
+        pooled.insert(pooled.end(), pr.delta_pct.begin(), pr.delta_pct.end());
+        for (std::size_t i = 0; i < pr.seeds.size(); ++i) {
+          seeds[pr.seeds[i]].push_back(pr.delta_pct[i]);
+        }
+      }
+      row.push_back(cell(analysis::summarize(pooled, cfg)));
+    }
+    table.add_row(std::move(row));
+  }
+  const auto seed_means = [](const SeedDeltas& seeds) {
+    std::vector<double> means;
+    for (const auto& [seed, deltas] : seeds) {
+      double sum = 0.0;
+      for (const double d : deltas) sum += d;
+      means.push_back(sum / static_cast<double>(deltas.size()));
+    }
+    return means;
+  };
+  for (const WorkloadType t : {WorkloadType::ILP, WorkloadType::MIX, WorkloadType::MEM}) {
+    std::vector<std::string> row{"avg-" + std::string(to_string(t))};
+    for (const PolicyKind p : others) {
+      row.push_back(cell(analysis::summarize(
+          seed_means(by_type[std::string(policy_name(p))][t]), cfg)));
     }
     table.add_row(std::move(row));
   }
   std::map<std::string, analysis::SampleStats> grand;
-  for (const WorkloadType t : {WorkloadType::ILP, WorkloadType::MIX, WorkloadType::MEM}) {
-    std::vector<std::string> row{"avg-" + std::string(to_string(t))};
-    for (const PolicyKind p : others) {
-      const analysis::SampleStats s =
-          analysis::summarize(by_type[std::string(policy_name(p))][t], cfg);
-      row.push_back(fmt_signed_pct(s.mean) + " ± " + fmt(s.ci_halfwidth(), 1));
-    }
-    table.add_row(std::move(row));
-  }
   {
     std::vector<std::string> row{"avg"};
     for (const PolicyKind p : others) {
-      std::vector<double> all;
-      for (auto& [t, v] : by_type[std::string(policy_name(p))]) {
-        all.insert(all.end(), v.begin(), v.end());
+      SeedDeltas all;
+      for (const auto& [t, seeds] : by_type[std::string(policy_name(p))]) {
+        for (const auto& [seed, deltas] : seeds) {
+          all[seed].insert(all[seed].end(), deltas.begin(), deltas.end());
+        }
       }
-      const analysis::SampleStats s = analysis::summarize(all, cfg);
+      const analysis::SampleStats s = analysis::summarize(seed_means(all), cfg);
       grand[std::string(policy_name(p))] = s;
-      row.push_back(fmt_signed_pct(s.mean) + " ± " + fmt(s.ci_halfwidth(), 1));
+      row.push_back(cell(s));
     }
     table.add_row(std::move(row));
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <new>
 
 #include "telemetry/counter_sampler.hpp"
 
@@ -472,7 +473,11 @@ void SmtCore::fetch_from_thread(ThreadId tid, unsigned& budget) {
       d.wrong_path = true;
       ctx.fetch_pc = d.ti.next_pc;
     } else {
-      d.ti = ctx.stream->at(ctx.fetch_seq);
+      // Constructed in place, so the returned instruction lands in d.ti
+      // directly. Assigning would copy it through a temporary, and the
+      // copy's wide loads cannot be forwarded from the narrow stores a
+      // replay decode just made: a stall on every fetched instruction.
+      ::new (&d.ti) TraceInst(ctx.stream->at(ctx.fetch_seq));
       d.trace_seq = ctx.fetch_seq++;
       if (d.ti.is_branch()) {
         const Addr fall_through = ctx.stream->layout().wrap(pc + CodeLayout::kInstBytes);

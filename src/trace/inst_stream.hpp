@@ -26,8 +26,10 @@ class InstStream {
 
   /// Instruction at sequence number `seq` (0-based). `seq` must be >= the
   /// lowest retained (uncommitted) sequence; re-reads of retained
-  /// sequences return identical instructions.
-  virtual const TraceInst& at(InstSeq seq) = 0;
+  /// sequences return identical instructions. Returned by value: a
+  /// replay decodes each read from its packed record, so there is no
+  /// stored TraceInst a reference could point into.
+  virtual TraceInst at(InstSeq seq) = 0;
 
   /// Release instructions with sequence < `seq` (commit point).
   virtual void retire_below(InstSeq seq) = 0;

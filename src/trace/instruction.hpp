@@ -44,6 +44,8 @@ struct TraceInst {
   [[nodiscard]] bool is_store() const { return cls == InstClass::Store; }
   [[nodiscard]] bool is_branch() const { return cls == InstClass::Branch; }
   [[nodiscard]] bool is_mem() const { return is_load() || is_store(); }
+
+  bool operator==(const TraceInst&) const = default;
 };
 
 }  // namespace dwarn

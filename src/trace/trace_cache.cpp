@@ -27,13 +27,13 @@ std::uint64_t MaterializedTrace::materialize(std::uint64_t n) const {
   telem::PhaseSpan span("materialize", "{\"bench\":\"" + std::string(gen_.profile().name) +
                                            "\",\"from\":" + std::to_string(have) + "}");
   while (have < n) {
-    // Generate through the retained stream, retiring as we copy, so its
+    // Generate through the retained stream, retiring as we pack, so its
     // window stays one instruction deep and, once the buffer is full,
     // gen_ *is* the state right past it.
     const std::uint64_t end = std::min(have + kChunkInsts, capacity_);
-    auto chunk = std::make_unique<TraceInst[]>(static_cast<std::size_t>(end - have));
+    auto chunk = std::make_unique<PackedInst[]>(static_cast<std::size_t>(end - have));
     for (InstSeq i = have; i < end; ++i) {
-      chunk[static_cast<std::size_t>(i - have)] = gen_.at(i);
+      chunk[static_cast<std::size_t>(i - have)] = pack(gen_.at(i), layout_);
       gen_.retire_below(i + 1);
     }
     chunks_[static_cast<std::size_t>(have / kChunkInsts)] = std::move(chunk);
@@ -55,7 +55,7 @@ std::size_t MaterializedTrace::bytes() const {
   // a few hundred bytes to a few KiB; a fixed overhead keeps many
   // untouched buffers from accounting as free.
   constexpr std::size_t kEntryOverhead = 4096;
-  return static_cast<std::size_t>(size()) * sizeof(TraceInst) + kEntryOverhead;
+  return static_cast<std::size_t>(size()) * sizeof(PackedInst) + kEntryOverhead;
 }
 
 std::shared_ptr<const MaterializedTrace> TraceCache::acquire(const BenchmarkProfile& prof,

@@ -6,16 +6,18 @@
 // that regenerates each thread's stream per run repeats identical work.
 // MaterializedTrace is a lazy, append-only buffer of one such stream: it
 // generates fixed-size chunks only when a reader first asks past the
-// published frontier, and published chunks never move. ReplayStream
-// satisfies the InstStream contract by indexing that buffer; TraceCache
-// shares the buffers across concurrent runs under an LRU budget counted
-// in generated bytes.
+// published frontier, stores each instruction as a 16-byte PackedInst,
+// and published chunks never move. ReplayStream satisfies the InstStream
+// contract by indexing and decoding that buffer; TraceCache shares the
+// buffers across concurrent runs under an LRU budget counted in generated
+// bytes.
 //
 // Determinism contract: a replayed run is bit-identical to a regenerated
 // run. Generation is a pure function of (profile, tid, seed), the buffer
-// records its output verbatim, and a run that outlives the buffer's
-// capacity continues from a copy of the generator state taken right after
-// the last buffered instruction — so the core observes the exact sequence
+// records its output in an encoding checked to decode back exactly (see
+// trace/packed_inst.hpp), and a run that outlives the buffer's capacity
+// continues from a copy of the generator state taken right after the
+// last buffered instruction — so the core observes the exact sequence
 // TraceStream would have produced, and BENCH_*.json snapshots compare
 // byte-for-byte with the cache on or off (enforced by ctest + CI).
 //
@@ -39,6 +41,7 @@
 #include "common/types.hpp"
 #include "trace/benchmark_profile.hpp"
 #include "trace/inst_stream.hpp"
+#include "trace/packed_inst.hpp"
 #include "trace/trace_stream.hpp"
 
 namespace dwarn {
@@ -82,18 +85,20 @@ class MaterializedTrace {
   /// Generate until size() >= min(n, capacity()); returns size(). Blocks
   /// only while another reader generates the chunk this one needs.
   std::uint64_t materialize(std::uint64_t n) const;
-  /// Instruction `seq`; requires seq < a size() this thread observed.
-  [[nodiscard]] const TraceInst& operator[](InstSeq seq) const {
-    return chunks_[static_cast<std::size_t>(seq / kChunkInsts)]
-                  [static_cast<std::size_t>(seq % kChunkInsts)];
+  /// Instruction `seq`, decoded; requires seq < a size() this thread
+  /// observed.
+  [[nodiscard]] TraceInst operator[](InstSeq seq) const {
+    return unpack(chunks_[static_cast<std::size_t>(seq / kChunkInsts)]
+                         [static_cast<std::size_t>(seq % kChunkInsts)],
+                  layout_);
   }
   [[nodiscard]] const CodeLayout& layout() const { return layout_; }
   /// Generator state positioned at capacity(): the continuation seed for
   /// replays that run past the buffer. Materializes the whole buffer.
   [[nodiscard]] const TraceStream& tail() const;
   [[nodiscard]] const TraceKey& key() const { return key_; }
-  /// Approximate resident bytes: the generated instructions plus a fixed
-  /// per-entry overhead. The unit the cache budget is accounted in.
+  /// Approximate resident bytes: the generated (packed) instructions plus
+  /// a fixed per-entry overhead. The unit the cache budget is accounted in.
   [[nodiscard]] std::size_t bytes() const;
 
  private:
@@ -102,11 +107,11 @@ class MaterializedTrace {
   mutable std::mutex mu_;
   mutable TraceStream gen_;  ///< positioned at size(); guarded by mu_
   /// A copy of the generator's layout, immutable and readable without
-  /// the mutex.
+  /// the mutex; records are packed and decoded against it.
   CodeLayout layout_;
   /// One slot per chunk of capacity, allocated at construction so the
   /// table never reallocates; slot c is filled before size() passes it.
-  mutable std::vector<std::unique_ptr<TraceInst[]>> chunks_;
+  mutable std::vector<std::unique_ptr<PackedInst[]>> chunks_;
   mutable std::atomic<std::uint64_t> size_{0};
 };
 
@@ -122,7 +127,7 @@ class ReplayStream final : public InstStream {
     DWARN_CHECK(trace_ != nullptr);
   }
 
-  const TraceInst& at(InstSeq seq) override {
+  TraceInst at(InstSeq seq) override {
     DWARN_CHECK(seq >= base_seq_);
     if (seq >= hi_seq_) hi_seq_ = seq + 1;
     if (seq < ready_) return (*trace_)[seq];

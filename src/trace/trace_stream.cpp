@@ -14,7 +14,7 @@ TraceStream::TraceStream(const BenchmarkProfile& prof, ThreadId tid, std::uint64
   loop_stack_.reserve(kMaxLoopDepth + 1);
 }
 
-const TraceInst& TraceStream::at(InstSeq seq) {
+TraceInst TraceStream::at(InstSeq seq) {
   DWARN_CHECK(seq >= base_seq_);
   while (base_seq_ + window_.size() <= seq) generate_one();
   return window_[static_cast<std::size_t>(seq - base_seq_)];

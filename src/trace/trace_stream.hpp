@@ -42,7 +42,7 @@ class TraceStream : public InstStream {
 
   /// Instruction at sequence number `seq` (0-based). Generates forward as
   /// needed; `seq` must be >= the lowest retained (uncommitted) sequence.
-  const TraceInst& at(InstSeq seq) override;
+  TraceInst at(InstSeq seq) override;
 
   /// Release buffered instructions with sequence < `seq` (commit point).
   void retire_below(InstSeq seq) override;

@@ -1,12 +1,16 @@
 // Unit tests: the analysis subsystem — JSON parser, SampleStats /
 // bootstrap CIs, seed-sweep aggregation, paired comparison, snapshot
-// round-trip through the TrajectoryStore loader, and regression diffing.
+// round-trip through the TrajectoryStore loader, regression diffing, and
+// the benches' improvement table.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
+
+#include "../bench/bench_common.hpp"
 
 #include "analysis/json.hpp"
 #include "analysis/sample_stats.hpp"
@@ -205,6 +209,72 @@ TEST(PairedComparison, SkipsUnpairedSeeds) {
                                                 analysis::throughput_metric());
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].seeds, seed_list(1));
+}
+
+/// Synthetic DWarn-vs-ICOUNT records over 2-MIX and 4-MIX: DWarn's
+/// throughput is `1 + pct/100` against ICOUNT's 1.0, per (workload, seed).
+ResultSet synthetic_improvements(
+    const std::vector<std::pair<std::uint64_t, std::pair<double, double>>>& seeds) {
+  std::vector<RunRecord> records;
+  for (const auto& [seed, pcts] : seeds) {
+    for (const auto& [name, pct] : {std::pair{"2-MIX", pcts.first}, {"4-MIX", pcts.second}}) {
+      for (const auto& [policy, ipc] : {std::pair{"ICOUNT", 1.0}, {"DWarn", 1.0 + pct / 100}}) {
+        RunRecord r;
+        r.machine = "baseline";
+        r.workload = workload_by_name(name);
+        r.policy = policy;
+        r.seed = seed;
+        r.result.throughput = ipc;
+        records.push_back(std::move(r));
+      }
+    }
+  }
+  return ResultSet(std::move(records));
+}
+
+/// The printed row of `table` whose first cell is `label`.
+std::string table_row(const std::string& table, const std::string& label) {
+  std::istringstream in(table);
+  for (std::string line; std::getline(in, line);) {
+    if (line.rfind("| " + label + " ", 0) == 0) return line;
+  }
+  return {};
+}
+
+TEST(ImprovementTable, AvgRowsAreCisOverSeedsNotAcrossWorkloads) {
+  const std::vector<WorkloadSpec> workloads{workload_by_name("2-MIX"),
+                                            workload_by_name("4-MIX")};
+  const std::vector<PolicyKind> policies{PolicyKind::ICount, PolicyKind::DWarn};
+  const auto print = [&](const ResultSet& rs, std::ostream& os) {
+    return benchutil::print_ci_improvement_table(os, rs, workloads, policies,
+                                                 analysis::throughput_metric(), "throughput");
+  };
+
+  // One seed: +10% and +30% average to +20%, and there is no spread over
+  // seeds to report, however far apart the two workloads are.
+  std::ostringstream one;
+  const auto grand1 = print(synthetic_improvements({{1, {10.0, 30.0}}}), one);
+  EXPECT_EQ(grand1.at("ICOUNT").n, 1u);
+  EXPECT_NEAR(grand1.at("ICOUNT").mean, 20.0, 1e-9);
+  EXPECT_EQ(grand1.at("ICOUNT").ci_halfwidth(), 0.0);
+  EXPECT_NE(table_row(one.str(), "avg-MIX").find("+20.0% ± 0.0"), std::string::npos)
+      << one.str();
+  EXPECT_NE(table_row(one.str(), "avg").find("+20.0% ± 0.0"), std::string::npos);
+
+  // Two seeds: the CI is over the per-seed averages 20% and 30%, two
+  // samples rather than four pooled workload deltas.
+  std::ostringstream two;
+  const auto grand2 =
+      print(synthetic_improvements({{1, {10.0, 30.0}}, {2, {20.0, 40.0}}}), two);
+  const analysis::SampleStats& s = grand2.at("ICOUNT");
+  EXPECT_EQ(s.n, 2u);
+  EXPECT_NEAR(s.mean, 25.0, 1e-9);
+  EXPECT_GT(s.ci_halfwidth(), 0.0);
+  EXPECT_GE(s.ci_lo, 20.0 - 1e-9);
+  EXPECT_LE(s.ci_hi, 30.0 + 1e-9);
+  EXPECT_NE(table_row(two.str(), "avg-MIX").find("+25.0%"), std::string::npos) << two.str();
+  // Per-workload cells are unchanged: each bootstraps its own two seeds.
+  EXPECT_NE(table_row(two.str(), "2-MIX").find("+15.0%"), std::string::npos);
 }
 
 // ---- snapshot round-trip -----------------------------------------------------

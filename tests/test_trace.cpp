@@ -203,8 +203,8 @@ TEST(TraceStream, DeterministicAcrossInstances) {
   const auto& prof = profile_of(Benchmark::twolf);
   TraceStream a(prof, 0, 77), b(prof, 0, 77);
   for (InstSeq i = 0; i < 5000; ++i) {
-    const TraceInst& x = a.at(i);
-    const TraceInst& y = b.at(i);
+    const TraceInst x = a.at(i);
+    const TraceInst y = b.at(i);
     EXPECT_EQ(x.pc, y.pc);
     EXPECT_EQ(x.next_pc, y.next_pc);
     EXPECT_EQ(static_cast<int>(x.cls), static_cast<int>(y.cls));
@@ -236,8 +236,8 @@ TEST(TraceStream, ControlFlowIsInternallyConsistent) {
   const auto& prof = profile_of(Benchmark::crafty);
   TraceStream s(prof, 0, 11);
   for (InstSeq i = 0; i + 1 < 20000; ++i) {
-    const TraceInst& cur = s.at(i);
-    const TraceInst& next = s.at(i + 1);
+    const TraceInst cur = s.at(i);
+    const TraceInst next = s.at(i + 1);
     EXPECT_EQ(next.pc, cur.next_pc) << "at seq " << i;
     if (!cur.is_branch()) {
       EXPECT_EQ(cur.next_pc, s.layout().wrap(cur.pc + 4));
@@ -251,7 +251,7 @@ TEST(TraceStream, ReturnsGoBackToCallSites) {
   std::vector<Addr> stack;
   std::size_t checked = 0;
   for (InstSeq i = 0; i < 60000 && checked < 50; ++i) {
-    const TraceInst& t = s.at(i);
+    const TraceInst t = s.at(i);
     if (t.branch == BranchKind::Call) {
       if (stack.size() < TraceStream::kMaxCallDepth) stack.push_back(t.pc + 4);
     } else if (t.branch == BranchKind::Return) {
@@ -270,7 +270,7 @@ TEST(TraceStream, ChaseLoadsSerializeThroughChaseReg) {
   TraceStream s(prof, 0, 23);
   std::size_t chases = 0;
   for (InstSeq i = 0; i < 50000; ++i) {
-    const TraceInst& t = s.at(i);
+    const TraceInst t = s.at(i);
     if (t.is_load() && t.dest_reg == kChaseReg) {
       ++chases;
       EXPECT_EQ(t.src_regs[0], kChaseReg);

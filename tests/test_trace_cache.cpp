@@ -63,12 +63,10 @@ void expect_inst_eq(const TraceInst& a, const TraceInst& b, InstSeq seq) {
   EXPECT_EQ(a.exec_latency, b.exec_latency) << "seq " << seq;
 }
 
-bool inst_eq(const TraceInst& a, const TraceInst& b) {
-  return a.pc == b.pc && a.next_pc == b.next_pc && a.mem_addr == b.mem_addr &&
-         a.cls == b.cls && a.branch == b.branch && a.taken == b.taken &&
-         a.dest_reg == b.dest_reg && a.dest_class == b.dest_class &&
-         a.src_regs == b.src_regs && a.src_class == b.src_class &&
-         a.exec_latency == b.exec_latency;
+/// The exact resident bytes bytes() reports for `insts` packed records:
+/// 16 bytes each plus the fixed 4 KiB per-entry overhead.
+std::size_t packed_bytes(std::uint64_t insts) {
+  return static_cast<std::size_t>(insts) * 16 + 4096;
 }
 
 // ---- materialization fidelity ----------------------------------------------
@@ -89,7 +87,7 @@ TEST(MaterializedTrace, RecordsTheGeneratedSequenceVerbatim) {
     ref.retire_below(i + 1);
   }
   EXPECT_EQ(mt.layout().text_base(), ref.layout().text_base());
-  EXPECT_GT(mt.bytes(), kN * sizeof(TraceInst));
+  EXPECT_EQ(mt.bytes(), packed_bytes(mt.size()));
 }
 
 TEST(ReplayStream, MatchesGenerationAcrossRewindRetireAndOverflow) {
@@ -144,12 +142,12 @@ InstSeq lockstep_walk(ReplayStream& rep, TraceStream& ref, InstSeq depth, InstSe
   for (int burst = 1; next < depth; ++burst) {
     const InstSeq end = std::min(depth, next + step);
     for (; next < end; ++next) {
-      if (!inst_eq(rep.at(next), ref.at(next))) return next;
+      if (rep.at(next) != ref.at(next)) return next;
     }
     if (burst % squash_every == 0) {
       for (InstSeq j = std::max(rep.window_base(), next - std::min(next, rewind)); j < next;
            ++j) {
-        if (!inst_eq(rep.at(j), ref.at(j))) return j;
+        if (rep.at(j) != ref.at(j)) return j;
       }
     }
     if (next > lag) {
@@ -170,7 +168,7 @@ TEST(ReplayStreamConcurrency, ReplaysOfOneLazyTraceMatchPrivateGeneration) {
   constexpr std::uint64_t kCapacity = 80'000;
   constexpr int kThreads = 6;
   const auto trace = std::make_shared<const MaterializedTrace>(prof, 1, 9, kCapacity);
-  const std::size_t untouched_bytes = trace->bytes();
+  EXPECT_EQ(trace->bytes(), packed_bytes(0));
 
   std::vector<InstSeq> depth(kThreads);
   std::vector<InstSeq> diverged(kThreads);
@@ -197,8 +195,7 @@ TEST(ReplayStreamConcurrency, ReplaysOfOneLazyTraceMatchPrivateGeneration) {
   const InstSeq deepest = *std::max_element(depth.begin(), depth.end());
   EXPECT_GE(trace->size(), deepest);
   EXPECT_LE(trace->size(), deepest + MaterializedTrace::kChunkInsts);
-  EXPECT_LE(trace->bytes(),
-            untouched_bytes + (deepest + MaterializedTrace::kChunkInsts) * sizeof(TraceInst));
+  EXPECT_EQ(trace->bytes(), packed_bytes(trace->size()));
 }
 
 TEST(ReplayStreamConcurrency, ConcurrentOverflowsContinueBitExact) {
@@ -302,7 +299,7 @@ TEST(TraceCache, OversizedEntrySurvivesAloneAndShrinkingBudgetEvicts) {
   const auto a = cache.acquire(prof, 0, 1, 2000);
   ASSERT_EQ(a->materialize(2000), 2000u);
   EXPECT_EQ(cache.stats().entries, 1u);  // in active use: kept despite budget
-  EXPECT_GT(cache.stats().bytes, 2000 * sizeof(TraceInst));
+  EXPECT_EQ(cache.stats().bytes, packed_bytes(2000));
 
   cache.set_budget_bytes(64u << 20);
   (void)cache.acquire(prof, 0, 2, 2000)->materialize(2000);
