@@ -1,7 +1,7 @@
 // Figure 1 under instruction-delivery pressure — a regime the paper never
-// evaluated. The fig1_icache grid swaps the effectively-ideal legacy L1I
-// for the modeled instruction side (8K I-cache, next-line fetch-ahead,
-// small I-TLB; docs/instruction_side.md), so the six fetch policies
+// evaluated. The fig1_icache grid shrinks the presets' 64K L1I to an 8K
+// I-cache with next-line fetch-ahead and a small I-TLB
+// (docs/instruction_side.md), so the six fetch policies
 // compete for a front end that can actually starve:
 //   (a) absolute throughput per policy on the pressure machine;
 //   (b) DWarn's improvement over each other policy;

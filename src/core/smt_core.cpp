@@ -97,10 +97,8 @@ void SmtCore::telem_sample() {
   s.flush_events = flush_events_.value();
   s.squashed_flush = squashed_flush_.value();
   s.istall = icache_stall_cycles_.value();
-  if (const InstMemory* imem = mem_.inst_memory()) {
-    s.imiss = imem->l1i_miss_count();
-    s.itlbmiss = imem->itlb_miss_count();
-  }
+  s.imiss = mem_.inst_memory().l1i_miss_count();
+  s.itlbmiss = mem_.inst_memory().itlb_miss_count();
   for (std::size_t c = 0; c < kNumIssueClasses; ++c) {
     s.iq[c] = static_cast<std::uint32_t>(iqs_[c].size());
   }

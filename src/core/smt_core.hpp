@@ -220,8 +220,7 @@ class SmtCore final : public PolicyHost {
     return phys == kNoReg ? &kAlwaysReady : regfile(c).ready_slot(phys);
   }
   [[nodiscard]] Addr iline_of(Addr pc) const {
-    // Fetch fragments on the line granularity of whichever instruction
-    // cache actually serves ifetch (modeled subsystem when enabled).
+    // Fetch fragments on the I-cache's line granularity.
     return pc & ~static_cast<Addr>(mem_.ifetch_line_bytes() - 1);
   }
 

@@ -65,7 +65,7 @@ std::vector<WorkloadSpec> named_workloads(std::initializer_list<std::string_view
   return out;
 }
 
-/// A baseline machine with the modeled instruction side: a 2-way,
+/// A baseline machine with a pressured instruction side: a 2-way,
 /// 64B-line, 1-cycle I-cache of `kb` KiB with next-line fetch-ahead, and
 /// `itlb`. Every imem field is set explicitly, so the machine's name
 /// spells out its whole instruction side.
@@ -73,9 +73,8 @@ MachineSpec imem_machine(std::string name, std::uint64_t kb, std::size_t mshrs,
                          ITlbConfig itlb) {
   return machine_variant(std::move(name), [=](std::size_t n) {
     MachineConfig m = baseline_machine(n);
-    m.mem.icache = ICacheConfig{.enabled = true, .size_bytes = kb * 1024, .assoc = 2,
-                                .line_bytes = 64, .hit_latency = 1, .prefetch_depth = 1,
-                                .mshrs = mshrs};
+    m.mem.icache = ICacheConfig{.size_bytes = kb * 1024, .assoc = 2, .line_bytes = 64,
+                                .hit_latency = 1, .prefetch_depth = 1, .mshrs = mshrs};
     m.mem.itlb = itlb;
     return m;
   });
@@ -199,7 +198,7 @@ const GridEntry kGrids[] = {
                        {PolicyKind::Stall, PolicyKind::Flush, PolicyKind::DWarn});
      }},
     // The paper's evaluation under instruction-delivery pressure it never
-    // ran: an 8K modeled I-cache (1/8 of the legacy L1I) with a small
+    // ran: an 8K I-cache (1/8 of the presets' 64K L1I) with a small
     // I-TLB, so the fetch policies compete for a front end that can
     // actually starve.
     {"fig1_icache",

@@ -1,5 +1,6 @@
-// Memory hierarchy façade: per-design L1 I/D caches, a shared unified L2,
-// fixed-latency main memory, per-context DTLBs and MSHR files.
+// Memory hierarchy façade: an L1 D-cache, the instruction side
+// (mem/icache.hpp), a shared unified L2, fixed-latency main memory,
+// per-context DTLBs and MSHR files.
 //
 // Latency model (paper Table 3 / section 4):
 //   * L1 hit: `l1_latency` (1 cycle) + any bank queueing delay.
@@ -18,7 +19,6 @@
 #pragma once
 
 #include <array>
-#include <memory>
 #include <optional>
 
 #include "common/stats.hpp"
@@ -32,17 +32,16 @@ namespace dwarn {
 
 /// Full configuration of the memory subsystem.
 struct MemoryConfig {
-  CacheConfig l1i{.name = "l1i", .size_bytes = 64 * 1024, .assoc = 2, .line_bytes = 64, .banks = 8};
   CacheConfig l1d{.name = "l1d", .size_bytes = 64 * 1024, .assoc = 2, .line_bytes = 64, .banks = 8};
   CacheConfig l2{.name = "l2", .size_bytes = 512 * 1024, .assoc = 2, .line_bytes = 64, .banks = 8};
   TlbConfig dtlb{.name = "dtlb", .entries = 128, .assoc = 4, .page_bytes = 8192};
 
-  /// Modeled instruction side (mem/icache.hpp). Disabled by default: the
-  /// fixed-geometry `l1i` above serves ifetch and every pre-subsystem
-  /// snapshot stays byte-identical. When `icache.enabled` is set, ifetch
-  /// routes through an InstMemory built from these two configs instead.
-  ICacheConfig icache{};
-  ITlbConfig itlb{};
+  /// Instruction side (mem/icache.hpp): the paper's 64KB 2-way L1I with
+  /// 8 MSHRs, no fetch-ahead and a free I-TLB. The `*_icache` machines of
+  /// the grid registry override both configs.
+  ICacheConfig icache{.size_bytes = 64 * 1024, .assoc = 2, .line_bytes = 64,
+                      .hit_latency = 1, .prefetch_depth = 0, .mshrs = 8};
+  ITlbConfig itlb{.walk_cycles = 0};
 
   Cycle l1_latency = 1;
   Cycle l2_latency = 10;
@@ -52,7 +51,6 @@ struct MemoryConfig {
   Cycle fill_advance_notice = 2;
 
   std::size_t l1d_mshrs = 32;
-  std::size_t l1i_mshrs = 8;
 };
 
 /// Timing and classification of one load.
@@ -63,9 +61,6 @@ struct LoadOutcome {
   bool tlb_miss = false;
   bool mshr_merged = false;  ///< coalesced onto an in-flight miss
 };
-
-// IFetchOutcome lives in mem/icache.hpp (shared by the legacy path here
-// and the modeled InstMemory).
 
 /// The shared memory subsystem of one simulated machine.
 class MemoryHierarchy {
@@ -82,8 +77,10 @@ class MemoryHierarchy {
   /// retire through a write buffer, so they never stall the pipeline here.
   void store(ThreadId tid, Addr addr, Cycle now);
 
-  /// Fetch the I-cache line containing `addr`.
-  IFetchOutcome ifetch(ThreadId tid, Addr addr, Cycle now);
+  /// Fetch the I-cache line containing `addr` (through InstMemory).
+  IFetchOutcome ifetch(ThreadId tid, Addr addr, Cycle now) {
+    return imem_.fetch(tid, addr, now);
+  }
 
   /// Expire completed MSHR entries; call once per simulated cycle.
   void tick(Cycle now);
@@ -98,28 +95,19 @@ class MemoryHierarchy {
 
   [[nodiscard]] const MemoryConfig& config() const { return cfg_; }
   [[nodiscard]] const Cache& l1d() const { return l1d_; }
-  [[nodiscard]] const Cache& l1i() const { return l1i_; }
   [[nodiscard]] const Cache& l2() const { return l2_; }
+  [[nodiscard]] const InstMemory& inst_memory() const { return imem_; }
 
-  /// The modeled instruction-side subsystem; nullptr unless
-  /// `config().icache.enabled` (the default, legacy path).
-  [[nodiscard]] const InstMemory* inst_memory() const { return imem_.get(); }
-
-  /// Line granularity the fetch stage fragments on: the modeled I-cache's
-  /// when enabled, the legacy L1I's otherwise.
-  [[nodiscard]] std::uint32_t ifetch_line_bytes() const {
-    return imem_ ? cfg_.icache.line_bytes : cfg_.l1i.line_bytes;
-  }
+  /// Line granularity the fetch stage fragments on.
+  [[nodiscard]] std::uint32_t ifetch_line_bytes() const { return cfg_.icache.line_bytes; }
 
  private:
   MemoryConfig cfg_;
-  Cache l1i_;
   Cache l1d_;
   Cache l2_;
   std::vector<Tlb> dtlbs_;  ///< one per hardware context
   MshrFile l1d_mshrs_;
-  MshrFile l1i_mshrs_;
-  std::unique_ptr<InstMemory> imem_;  ///< modeled instruction side (opt-in)
+  InstMemory imem_;  ///< instruction side; misses into l2_
 
   Counter& loads_;
   Counter& load_l1_misses_;
@@ -127,9 +115,6 @@ class MemoryHierarchy {
   Counter& load_tlb_misses_;
   Counter& load_mshr_merges_;
   Counter& stores_;
-  Counter& ifetches_;
-  Counter& ifetch_l1_misses_;
-  Counter& ifetch_l2_misses_;
 };
 
 }  // namespace dwarn

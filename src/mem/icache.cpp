@@ -10,7 +10,7 @@ CacheConfig tag_config(const ICacheConfig& cfg) {
   c.size_bytes = cfg.size_bytes;
   c.assoc = cfg.assoc;
   c.line_bytes = cfg.line_bytes;
-  c.banks = 8;  // mirror the legacy L1I port structure
+  c.banks = 8;  // the same port structure as the L1D
   return c;
 }
 

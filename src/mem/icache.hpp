@@ -1,18 +1,16 @@
-// Modeled instruction-side memory subsystem: L1 I-cache + per-context
-// I-TLB + next-line fetch-ahead prefetcher.
-//
-// The legacy path in mem/hierarchy.cpp charges a fixed-geometry L1I with
-// no translation and no prefetch — close enough to ideal fetch that
-// instruction delivery never constrains the fetch policy. This subsystem
-// replaces it when `ICacheConfig::enabled` is set (default OFF: default
-// builds construct none of it, register none of its counters, and stay
-// byte-identical to pre-subsystem snapshots):
+// The instruction side of one machine: L1 I-cache + per-context I-TLB +
+// next-line fetch-ahead prefetcher. Every fetch goes through it
+// (MemoryHierarchy::ifetch). The paper presets configure it as a 64KB
+// 2-way L1I with no fetch-ahead and a free I-TLB (MemoryConfig defaults);
+// the registry's `*_icache` machines shrink the cache, turn fetch-ahead on
+// and give the I-TLB a walk penalty:
 //
 //   * demand fetches translate through a per-context I-TLB (walk penalty
-//     on the fetch path), then probe a configurable L1 I-cache that
-//     misses into the shared unified L2 through its own MSHR file
-//     (secondary misses to an in-flight line merge, including demand
-//     fetches landing on a line a prefetch already requested);
+//     on the fetch path), then probe the L1 I-cache, which misses into
+//     the shared unified L2 through its own MSHR file. The MSHRs are
+//     checked before the tags, so a fetch to a line still in flight
+//     completes with its fill (including demand fetches landing on a line
+//     a prefetch already requested);
 //   * every demand access triggers a next-line prefetcher: up to
 //     `prefetch_depth` sequential successor lines not already present or
 //     in flight are requested from the L2 and installed behind MSHR
@@ -22,7 +20,7 @@
 // All state advances as a pure function of (config, access stream,
 // simulated cycle), preserving the bitwise determinism contract that the
 // sharded/orchestrated merge paths enforce. Counters live under the
-// "imem." prefix and exist only when the subsystem is constructed.
+// "imem." prefix.
 #pragma once
 
 #include <cstdint>
@@ -37,18 +35,16 @@
 
 namespace dwarn {
 
-/// Timing of one instruction-cache line fetch (returned by both the
-/// legacy MemoryHierarchy path and the modeled InstMemory).
+/// Timing of one instruction-cache line fetch.
 struct IFetchOutcome {
   Cycle ready_at = 0;  ///< cycle the line can deliver instructions
   bool l1_hit = true;
   bool l2_hit = true;     ///< meaningful only when !l1_hit
-  bool itlb_miss = false; ///< modeled subsystem only (legacy: always false)
+  bool itlb_miss = false; ///< the fetch paid an I-TLB walk
 };
 
-/// Geometry, timing and prefetch knobs of the modeled L1 I-cache.
+/// Geometry, timing and prefetch knobs of the L1 I-cache.
 struct ICacheConfig {
-  bool enabled = false;  ///< default OFF: the legacy ideal-ish path runs
   std::uint64_t size_bytes = 16 * 1024;
   std::uint32_t assoc = 2;
   std::uint32_t line_bytes = 64;

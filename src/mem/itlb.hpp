@@ -11,9 +11,9 @@
 // penalty because instruction pages are few and contiguous — real I-TLBs
 // are an order of magnitude smaller than their data siblings.
 //
-// Only used by the modeled instruction-side subsystem (mem/icache.hpp);
-// the legacy ideal-fetch path never constructs one, so default builds
-// carry no I-TLB counters and stay byte-identical.
+// Owned by the instruction side (mem/icache.hpp). The paper presets set
+// `walk_cycles` to 0: the I-TLB's own counters still count misses, but
+// none costs fetch a cycle or counts in `imem.itlb_misses`.
 #pragma once
 
 #include <cstdint>

@@ -104,11 +104,10 @@ class FetchPolicy {
   virtual void on_inst_squashed(ThreadId /*tid*/, std::uint64_t /*dyn_id*/,
                                 const TraceInst& /*ti*/) {}
 
-  /// Fetch for `tid` stalled on instruction delivery (I-cache miss, or an
-  /// I-TLB walk when the modeled instruction side is enabled); the thread
-  /// fetches nothing until `ready_at`. Fires for the legacy L1I path too,
-  /// so policies can react to fetch starvation symmetrically with the
-  /// data-side miss hooks above.
+  /// Fetch for `tid` stalled on instruction delivery (I-cache miss or
+  /// I-TLB walk); the thread fetches nothing until `ready_at`. Policies
+  /// can react to fetch starvation symmetrically with the data-side miss
+  /// hooks above.
   virtual void on_ifetch_stall(ThreadId /*tid*/, Cycle /*ready_at*/) {}
 
   /// Per-thread in-flight instruction cap (LIMIT RESOURCES response

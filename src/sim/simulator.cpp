@@ -196,26 +196,19 @@ SimResult Simulator::run(const RunLength& len) {
     res.counters[std::string(h) + ".mean_x100"] =
         static_cast<std::uint64_t>(stats_.histogram_mean(h) * 100.0);
   }
-  // Instruction-delivery pressure. The stall fraction reads a counter the
-  // legacy path also maintains; the per-kinst rates and the fixed-point
-  // counter-map mirrors exist only when the modeled instruction side is
-  // on, keeping default snapshots key-for-key identical to pre-subsystem
-  // fixtures.
+  // Instruction-delivery pressure, mirrored as fixed-point counters.
   res.fetch_stall_frac =
       static_cast<double>(stats_.value("core.icache_stalls")) / cycles;
-  if (mem_->inst_memory() != nullptr) {
-    const std::uint64_t committed = stats_.value("core.committed");
-    const double kinst = committed > 0 ? static_cast<double>(committed) / 1000.0 : 1.0;
-    res.imiss_per_kinst = static_cast<double>(stats_.value("imem.demand_misses")) / kinst;
-    res.itlb_miss_per_kinst =
-        static_cast<double>(stats_.value("imem.itlb_misses")) / kinst;
-    res.counters["imem.imiss_per_kinst_x1000"] =
-        static_cast<std::uint64_t>(res.imiss_per_kinst * 1000.0);
-    res.counters["imem.itlb_miss_per_kinst_x1000"] =
-        static_cast<std::uint64_t>(res.itlb_miss_per_kinst * 1000.0);
-    res.counters["imem.fetch_stall_frac_x1000"] =
-        static_cast<std::uint64_t>(res.fetch_stall_frac * 1000.0);
-  }
+  const std::uint64_t committed = stats_.value("core.committed");
+  const double kinst = committed > 0 ? static_cast<double>(committed) / 1000.0 : 1.0;
+  res.imiss_per_kinst = static_cast<double>(stats_.value("imem.demand_misses")) / kinst;
+  res.itlb_miss_per_kinst = static_cast<double>(stats_.value("imem.itlb_misses")) / kinst;
+  res.counters["imem.imiss_per_kinst_x1000"] =
+      static_cast<std::uint64_t>(res.imiss_per_kinst * 1000.0);
+  res.counters["imem.itlb_miss_per_kinst_x1000"] =
+      static_cast<std::uint64_t>(res.itlb_miss_per_kinst * 1000.0);
+  res.counters["imem.fetch_stall_frac_x1000"] =
+      static_cast<std::uint64_t>(res.fetch_stall_frac * 1000.0);
   return res;
 }
 

@@ -50,12 +50,10 @@ struct SimResult {
   std::vector<double> thread_ipc;  ///< committed IPC per context
   double throughput = 0.0;         ///< sum of thread IPCs
   double flushed_frac = 0.0;       ///< FLUSH-squashed / fetched
-  /// Instruction-delivery pressure. fetch_stall_frac (I-stall cycles
-  /// summed over threads / machine cycles; can exceed 1 with many stalled
-  /// contexts) is meaningful on every run; the per-kinst rates are 0
-  /// unless the modeled instruction side is enabled. The same values ride
-  /// in `counters` as "imem.*_x1000" fixed-point entries — only when
-  /// enabled, so default snapshots carry no new keys.
+  /// Instruction-delivery pressure: fetch_stall_frac is I-stall cycles
+  /// summed over threads / machine cycles (can exceed 1 with many stalled
+  /// contexts). The same values ride in `counters` as "imem.*_x1000"
+  /// fixed-point entries.
   double imiss_per_kinst = 0.0;      ///< demand L1I misses per 1000 committed
   double itlb_miss_per_kinst = 0.0;  ///< I-TLB walks per 1000 committed
   double fetch_stall_frac = 0.0;

@@ -33,9 +33,8 @@ struct IntervalSample {
   std::uint64_t l2miss = 0;          ///< committed-path L2 misses
   std::uint64_t flush_events = 0;
   std::uint64_t squashed_flush = 0;
-  // Instruction side. istall accumulates on every run (the legacy L1I
-  // stalls fetch too); imiss/itlbmiss stay 0 unless the modeled
-  // instruction side (mem/icache.hpp) is enabled.
+  // Instruction side (mem/icache.hpp). itlbmiss counts only walks that
+  // cost fetch cycles, so it stays 0 on the paper presets (free I-TLB).
   std::uint64_t imiss = 0;     ///< demand L1 I-cache misses
   std::uint64_t itlbmiss = 0;  ///< I-TLB walks
   std::uint64_t istall = 0;    ///< fetch-stall cycles summed over threads

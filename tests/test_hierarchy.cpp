@@ -96,13 +96,28 @@ TEST_F(HierarchyTest, StoresWriteAllocate) {
   EXPECT_TRUE(out.l1_hit);  // store installed the line
 }
 
-TEST_F(HierarchyTest, IFetchHitAndMiss) {
-  const auto miss = mem.ifetch(0, 0x100000, 10);
-  EXPECT_FALSE(miss.l1_hit);
-  EXPECT_GT(miss.ready_at, 10u);
-  const auto hit = mem.ifetch(0, 0x100000, 500);
+TEST_F(HierarchyTest, IFetchWaitsForInflightLine) {
+  // Preset instruction side: 64KB 2-way L1I, no fetch-ahead, free I-TLB.
+  EXPECT_EQ(cfg.icache.size_bytes, 64u * 1024);
+  EXPECT_EQ(cfg.icache.prefetch_depth, 0u);
+  EXPECT_EQ(cfg.itlb.walk_cycles, 0u);
+  mem.tick(10);
+  const auto cold = mem.ifetch(0, 0x100000, 10);
+  EXPECT_FALSE(cold.l1_hit);
+  EXPECT_FALSE(cold.l2_hit);
+  EXPECT_FALSE(cold.itlb_miss);
+  EXPECT_EQ(cold.ready_at, 10 + cfg.l2_latency + cfg.mem_latency);
+  // One cycle later the line is still in flight: the fetch waits for the
+  // pending fill instead of hitting the already-installed tag.
+  mem.tick(11);
+  const auto secondary = mem.ifetch(1, 0x100020, 11);
+  EXPECT_FALSE(secondary.l1_hit);
+  EXPECT_EQ(secondary.ready_at, cold.ready_at);
+  for (Cycle c = 12; c <= cold.ready_at; ++c) mem.tick(c);
+  const auto hit = mem.ifetch(0, 0x100000, cold.ready_at);
   EXPECT_TRUE(hit.l1_hit);
-  EXPECT_EQ(hit.ready_at, 500u);
+  EXPECT_EQ(hit.ready_at, cold.ready_at);
+  EXPECT_EQ(stats.value("imem.demand_misses"), 1u);
 }
 
 TEST_F(HierarchyTest, CountersDistinguishLoadsAndStores) {

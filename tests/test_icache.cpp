@@ -21,7 +21,6 @@ class InstMemoryTest : public ::testing::Test {
 
   void rebuild(ICacheConfig cfg) {
     icfg = cfg;
-    icfg.enabled = true;
     stats = std::make_unique<StatSet>();
     l2 = std::make_unique<Cache>(
         CacheConfig{.name = "l2", .size_bytes = 512 * 1024, .assoc = 2,
@@ -138,7 +137,6 @@ TEST_F(InstMemoryTest, ItlbWalkChargesFetchPath) {
                         .line_bytes = 64, .banks = 8},
             s2);
   ICacheConfig cfg;
-  cfg.enabled = true;
   ITlbConfig tlb;
   tlb.entries = 4;
   tlb.assoc = 2;
@@ -173,38 +171,21 @@ TEST(ITlbTest, LruReplacementWithinSet) {
   EXPECT_EQ(stats.value(cfg.name + ".misses"), 4u);
 }
 
-TEST(InstMemoryHierarchy, RoutesIfetchWhenEnabled) {
+TEST(InstMemoryHierarchy, RoutesIfetchThroughInstMemory) {
   StatSet stats;
   MemoryConfig cfg;
-  cfg.icache.enabled = true;
   cfg.icache.size_bytes = 4 * 1024;
   cfg.itlb.entries = 4;
   cfg.itlb.assoc = 2;
+  cfg.itlb.walk_cycles = 40;
   MemoryHierarchy mem(cfg, 2, stats);
-  ASSERT_NE(mem.inst_memory(), nullptr);
+  EXPECT_EQ(mem.inst_memory().config().size_bytes, 4u * 1024);
   EXPECT_EQ(mem.ifetch_line_bytes(), cfg.icache.line_bytes);
   const auto out = mem.ifetch(0, 0x2000, 10);
   EXPECT_FALSE(out.l1_hit);
   EXPECT_TRUE(out.itlb_miss);
+  EXPECT_EQ(out.ready_at, 10 + cfg.l2_latency + cfg.mem_latency + 40);
   EXPECT_EQ(stats.value("imem.fetches"), 1u);
-  // The legacy L1I sits idle.
-  EXPECT_EQ(stats.value("mem.ifetches"), 0u);
-  EXPECT_EQ(stats.value("l1i.accesses"), 0u);
-}
-
-TEST(InstMemoryHierarchy, DefaultDisabledKeepsLegacyPathAndNoImemCounters) {
-  StatSet stats;
-  MemoryConfig cfg;  // icache.enabled defaults to false
-  MemoryHierarchy mem(cfg, 2, stats);
-  EXPECT_EQ(mem.inst_memory(), nullptr);
-  EXPECT_EQ(mem.ifetch_line_bytes(), cfg.l1i.line_bytes);
-  mem.ifetch(0, 0x2000, 10);
-  EXPECT_EQ(stats.value("mem.ifetches"), 1u);
-  // Byte-identity guard: a default build must not even create "imem."
-  // counters — StatSet snapshots include every created counter.
-  for (const auto& [name, value] : stats.snapshot()) {
-    EXPECT_TRUE(name.rfind("imem.", 0) != 0) << name;
-  }
 }
 
 TEST(InstMemoryDeterminism, CodeLayoutStreamReplays) {
@@ -217,7 +198,6 @@ TEST(InstMemoryDeterminism, CodeLayoutStreamReplays) {
                          .line_bytes = 64, .banks = 8},
              stats);
     ICacheConfig cfg;
-    cfg.enabled = true;
     cfg.size_bytes = 8 * 1024;
     ITlbConfig tlb;
     tlb.entries = 8;
@@ -251,8 +231,7 @@ TEST(InstMemoryDeterminism, CodeLayoutStreamReplays) {
 
 TEST(InstMemorySimulation, EnabledRunReportsPressureCounters) {
   MachineConfig m = baseline_machine(2);
-  m.mem.icache = ICacheConfig{.enabled = true,
-                              .size_bytes = 4 * 1024,
+  m.mem.icache = ICacheConfig{.size_bytes = 4 * 1024,
                               .assoc = 2,
                               .line_bytes = 64,
                               .hit_latency = 1,
@@ -274,20 +253,9 @@ TEST(InstMemorySimulation, EnabledRunReportsPressureCounters) {
   EXPECT_GT(res.counters.at("imem.prefetch_issued"), 0u);
   EXPECT_GT(res.throughput, 0.0);
 
-  // Same machine without the subsystem: no imem keys at all.
-  MachineConfig plain = baseline_machine(2);
-  plain.mem.icache.enabled = false;
-  const SimResult base = run_simulation(plain, workload_by_name("2-MIX"),
-                                        PolicyKind::ICount, len);
-  for (const auto& [name, value] : base.counters) {
-    EXPECT_TRUE(name.rfind("imem.", 0) != 0) << name;
-  }
-
-  // Within the modeled subsystem, pressure must order sensibly: the same
-  // tiny cache with fetch-ahead disabled loses to a generous 64KB/large
-  // I-TLB configuration on throughput and miss rate. (Comparing against
-  // the legacy path is not meaningful — the next-line prefetcher can beat
-  // it on sequential instruction streams.)
+  // Pressure must order sensibly: the same tiny cache with fetch-ahead
+  // disabled loses to a generous 64KB/large I-TLB configuration on
+  // throughput and miss rate.
   MachineConfig worst = m;
   worst.mem.icache.prefetch_depth = 0;
   const SimResult squeezed = run_simulation(worst, workload_by_name("2-MIX"),
