@@ -38,18 +38,21 @@ LoadOutcome MemoryHierarchy::load(ThreadId tid, Addr addr, Cycle now) {
 
   const CacheAccessResult r1 = l1d_.access(addr, /*is_write=*/false, now);
   penalty += r1.bank_delay;
-  if (r1.hit) {
-    out.l1_hit = true;
+  const Addr line = l1d_.line_of(addr);
+
+  // A line still in flight misses whatever its tag says: fill-on-access
+  // installed the tag when the primary miss issued.
+  const std::optional<Cycle> pending = l1d_mshrs_.lookup(line);
+  if (r1.hit && !pending) {
     out.complete_at = now + cfg_.l1_latency + penalty;
     return out;
   }
 
   out.l1_hit = false;
   load_l1_misses_.add();
-  const Addr line = l1d_.line_of(addr);
 
   // Secondary miss to a line already in flight: complete with the primary.
-  if (auto pending = l1d_mshrs_.lookup(line)) {
+  if (pending) {
     out.mshr_merged = true;
     load_mshr_merges_.add();
     l1d_mshrs_.merge(line);

@@ -13,8 +13,10 @@
 //   * `fill_advance_notice`: gated threads resume this many cycles before
 //     the fill actually arrives (STALL/FLUSH property, 2).
 //
-// Lines are filled at access time (standard trace-driven simplification);
-// MSHRs merge secondary misses so a burst of accesses to an in-flight line
+// Lines are filled at access time (standard trace-driven simplification),
+// so both sides check their MSHRs before the tags: an access to a line
+// still in flight is a secondary miss that merges onto the pending fill
+// and completes with it, and a burst of accesses to an in-flight line
 // costs one memory round trip.
 #pragma once
 

@@ -15,7 +15,8 @@ class HierarchyTest : public ::testing::Test {
 };
 
 TEST_F(HierarchyTest, L1HitLatency) {
-  mem.load(0, 0x1000, 10);              // install (cold miss)
+  mem.load(0, 0x1000, 10);  // install (cold miss)
+  mem.tick(500);            // the fill has arrived
   const auto out = mem.load(0, 0x1000, 500);  // now a hit
   EXPECT_TRUE(out.l1_hit);
   EXPECT_EQ(out.complete_at, 500u + cfg.l1_latency);
@@ -60,10 +61,26 @@ TEST_F(HierarchyTest, DtlbIsPerContext) {
   EXPECT_TRUE(other.tlb_miss);  // thread 1's TLB is cold
 }
 
+TEST_F(HierarchyTest, SecondaryLoadWaitsForInflightFill) {
+  mem.load(0, 0x7040, 1);  // warm the DTLB page with a different line
+  mem.tick(400);
+  const auto first = mem.load(0, 0x7000, 400);  // cold line
+  EXPECT_EQ(first.complete_at, 511u);
+  // The tag was installed when the miss issued, but the data is not there
+  // yet: the second load merges and completes with the fill.
+  mem.tick(401);
+  const auto second = mem.load(0, 0x7008, 401);
+  EXPECT_FALSE(second.l1_hit);
+  EXPECT_TRUE(second.mshr_merged);
+  EXPECT_FALSE(second.l2_hit);
+  EXPECT_EQ(second.complete_at, 511u);
+  EXPECT_EQ(stats.value("mem.load_l1_misses"), 3u);
+  EXPECT_EQ(stats.value("mem.load_mshr_merges"), 1u);
+}
+
 TEST_F(HierarchyTest, MshrMergesSecondaryMiss) {
-  // Fill-on-access installs the line immediately, so a same-line re-access
-  // only reaches the MSHRs if the line was evicted while still in flight:
-  // conflict it out with two lines one L1-way (32 KiB) apart.
+  // The merge holds even when the line's tag is gone: conflict it out
+  // with two lines one L1-way (32 KiB) apart while its fill is in flight.
   const auto first = mem.load(0, 0xA000, 10);
   mem.load(0, 0xA000 + 32 * 1024, 11);
   mem.load(0, 0xA000 + 64 * 1024, 12);
