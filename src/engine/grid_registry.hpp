@@ -40,13 +40,13 @@ struct GridOptions {
 ///   ablation_dwarn_hybrid 12 workloads × the 3 DWarn response actions
 ///   ablation_l2_threshold 4 L2-miss declaration thresholds × 4 MIX/MEM
 ///                         workloads × {STALL, FLUSH, DWarn}
-///   fig1_icache           fig1 on the I-cache-pressure machine (modeled 8K
-///                         I-cache + small I-TLB, docs/instruction_side.md)
+///   fig1_icache           fig1 on the I-cache-pressure machine (8K I-cache
+///                         + small I-TLB, docs/instruction_side.md)
 ///   fig3_icache           fig1_icache plus solo baselines
-///   ablation_icache_size  4 modeled I-cache capacities × fig1's grid
+///   ablation_icache_size  4 I-cache capacities × fig1's grid
 ///   fixture               tiny 2×2 grid with a pinned short RunLength — the
 ///                         sharding round-trip fixture, immune to SMT_SIM_INSTS
-///   fixture_icache        the fixture on a tiny modeled instruction side —
+///   fixture_icache        the fixture on a tiny instruction side —
 ///                         the icache round-trip fixture
 [[nodiscard]] const std::vector<std::string>& registered_grids();
 

@@ -1,6 +1,6 @@
 // Machine presets: the three architectures of the paper's evaluation.
 // Presets read no environment, so a machine name fully determines its
-// MachineConfig; variants (the modeled instruction side, ablations) are
+// MachineConfig; variants (the I-cache-pressure machines, ablations) are
 // named machines of the grid registry.
 #pragma once
 

@@ -1,11 +1,9 @@
-# ctest driver: the default-configuration byte-identity contract.
+# ctest driver: the preset machines' byte-identity contract.
 #
 # `smt_shard run --bench fixture` must reproduce the committed golden
-# snapshot byte-for-byte. The golden was captured before the modeled
-# instruction side landed, so this test proves the subsystem is inert on
-# the preset machines (it is reachable only through the registry's
-# named *_icache machines): no new counters, no timing drift, no
-# serialization change. Invoked as
+# snapshot byte-for-byte, so any change to the preset machines' timing,
+# counters or serialization shows here and has to be re-pinned on purpose.
+# Invoked as
 #   cmake -DSMT_SHARD=<path> -DGOLDEN=<path> -DWORK_DIR=<scratch> -P golden_fixture.cmake
 #
 # Required: SMT_SHARD, GOLDEN, WORK_DIR.
@@ -27,17 +25,22 @@ execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
                 "${GOLDEN}" "${WORK_DIR}/BENCH_fixture.json"
                 RESULT_VARIABLE same)
 if(NOT same EQUAL 0)
-  message(FATAL_ERROR "default-configuration fixture snapshot is NOT byte-identical "
-                      "to the committed golden (${WORK_DIR}/BENCH_fixture.json vs "
-                      "${GOLDEN}); a default-path behavior change leaked in")
+  message(FATAL_ERROR "fixture snapshot is NOT byte-identical to the committed "
+                      "golden (${WORK_DIR}/BENCH_fixture.json vs ${GOLDEN}); a "
+                      "preset-machine behavior change leaked in")
 endif()
 
-# Belt and braces: the default snapshot must not mention the modeled
-# instruction side at all.
+# Every preset machine fetches through the instruction side, so every run
+# must report instruction fetches.
 file(READ "${WORK_DIR}/BENCH_fixture.json" snapshot)
-if(snapshot MATCHES "imem\\.")
-  message(FATAL_ERROR "default snapshot contains imem.* counters — the modeled "
-                      "instruction side must be inert unless opted in")
-endif()
+string(JSON nruns LENGTH "${snapshot}" runs)
+math(EXPR last "${nruns} - 1")
+foreach(i RANGE ${last})
+  string(JSON fetches GET "${snapshot}" runs ${i} counters imem.fetches)
+  if(NOT fetches GREATER 0)
+    message(FATAL_ERROR "run ${i} of the fixture snapshot reports imem.fetches = "
+                        "${fetches}: the fetch stage bypassed the instruction side")
+  endif()
+endforeach()
 
-message(STATUS "default fixture run == committed golden (bitwise)")
+message(STATUS "fixture run == committed golden (bitwise)")

@@ -33,9 +33,9 @@ endfunction()
 run_checked("${SMT_SHARD}" run --bench fixture_icache --out "${WORK_DIR}/single")
 set(single "${WORK_DIR}/single/BENCH_fixture_icache.json")
 
-# The runs must have gone through the modeled instruction side: every
-# record of this grid carries imem counters, and the pressure config is
-# sized so demand misses and I-TLB walks cannot be zero.
+# The runs must have been under instruction-side pressure: the config is
+# sized so demand misses and I-TLB walks cannot be zero (the presets'
+# free I-TLB never walks).
 file(READ "${single}" snapshot)
 foreach(counter imem.demand_misses imem.itlb_misses)
   if(NOT snapshot MATCHES "\"${counter}\": [1-9]")

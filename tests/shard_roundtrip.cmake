@@ -52,8 +52,8 @@ endforeach()
 # may rewrite a preset behind the grid fingerprint. Shard 1/2 runs under
 # the former instruction-side knobs, shard 2/2 under the default
 # environment, and the merge must still equal the single-process run
-# (knobs that rewrote the preset machines once merged modeled-I-cache
-# rows with legacy ones under one fingerprint).
+# (knobs that rewrote the preset machines once merged rows of two
+# different instruction sides under one fingerprint).
 set(dir "${WORK_DIR}/mixed-env")
 run_checked("${CMAKE_COMMAND}" -E env SMT_ICACHE=1 SMT_ICACHE_KB=4
             "${SMT_SHARD}" run --bench fixture --shard 1/2 --out "${dir}")

@@ -11,6 +11,7 @@
 
 #include <cstdlib>
 #include <optional>
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -102,12 +103,12 @@ TEST(ExecutionDifferential, MatchesReferenceWithWarmTraceCache) {
   EXPECT_EQ(run_grid(specs, 4), ref);
 }
 
-TEST(ExecutionDifferential, MatchesReferenceWithIcacheEnabled) {
-  // The modeled instruction side adds a policy-visible event
-  // (on_ifetch_stall) inside the fetch stage; prove scheduling still
-  // cannot change the machine under I-cache pressure. fixture_icache is
-  // the registry's environment-immune icache grid (tiny modeled I-cache +
-  // 2-entry I-TLB, pinned windows).
+TEST(ExecutionDifferential, MatchesReferenceUnderIcachePressure) {
+  // The instruction side raises a policy-visible event (on_ifetch_stall)
+  // inside the fetch stage; prove scheduling still cannot change the
+  // machine under I-cache pressure. fixture_icache is the registry's
+  // environment-immune icache grid (tiny I-cache + 2-entry I-TLB, pinned
+  // windows).
   const std::vector<RunSpec> specs = named_grid("fixture_icache").expand();
   const std::string ref = reference(specs);
   {
@@ -117,9 +118,10 @@ TEST(ExecutionDifferential, MatchesReferenceWithIcacheEnabled) {
   ScopedEnv cache("SMT_TRACE_CACHE", "1");
   TraceCache::shared().clear();
   EXPECT_EQ(run_grid(specs, 4), ref);
-  // Sanity: the runs actually exercised the subsystem.
-  EXPECT_NE(ref.find("imem.demand_misses"), std::string::npos);
-  EXPECT_NE(ref.find("imem.itlb_misses"), std::string::npos);
+  // Sanity: the runs were under pressure. Every snapshot carries imem.*
+  // keys, but only a machine with a walking I-TLB counts I-TLB misses.
+  EXPECT_TRUE(std::regex_search(ref, std::regex(R"("imem\.demand_misses": [1-9])")));
+  EXPECT_TRUE(std::regex_search(ref, std::regex(R"("imem\.itlb_misses": [1-9])")));
 }
 
 TEST(ExecutionDifferential, StridedShardsMatchReferenceRecords) {

@@ -1,4 +1,4 @@
-// Unit tests: the modeled instruction-side subsystem (L1 I-cache, I-TLB,
+// Unit tests: the instruction-side subsystem (L1 I-cache, I-TLB,
 // next-line fetch-ahead) and its determinism when fed the code_layout
 // address stream.
 #include <gtest/gtest.h>
